@@ -21,6 +21,7 @@ from .dynamics import (
     write_states_json,
     write_trajectory_csv,
 )
+from .header import config_header
 from .maze import MazeFormatError, deserialize, generate_perfect_maze, serialize
 
 
@@ -115,20 +116,19 @@ def cmd_rl_train(args) -> int:
 
 def cmd_rl_eval(args) -> int:
     env = _make_env(args)
-    baseline = rlmaze.evaluate(env, rlmaze.Policy.noop(), n_runs=args.n_runs)
     if args.policy:
         with open(args.policy, "r", encoding="utf-8") as fh:
             policy = rlmaze.Policy.from_json(fh.read())
     else:
         policy = rlmaze.Policy.noop()
-    trained = rlmaze.evaluate(env, policy, n_runs=args.n_runs)
+    baseline = rlmaze.evaluate(env, rlmaze.Policy.noop())
+    trained = rlmaze.evaluate(env, policy)
     lines = [f"baseline_p_sink={baseline!r}", f"policy_p_sink={trained!r}"]
     print("\n".join(lines))
     if args.output:
-        file_config = _env_config(args) | {"policy": args.policy or "", "n_runs": args.n_runs}
-        pairs = " ".join(f"{k}={file_config[k]}" for k in sorted(file_config))
+        file_config = _env_config(args) | {"policy": args.policy or ""}
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# config: {pairs}\n")
+            fh.write(config_header(file_config))
             fh.write("\n".join(lines) + "\n")
     return 0
 
@@ -143,7 +143,7 @@ def _dataset_from(args) -> embedding.LabeledDataset1D:
 def cmd_embed_train(args) -> int:
     dataset = _dataset_from(args)
     config = embedding.TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
-    model, curve, theta_log = embedding._descent(dataset, config)
+    model, curve, theta_log = embedding.train_embedding(dataset, config)
     file_config = {
         "dataset": args.dataset or f"synthetic(n_per_class={args.n_per_class}, data_seed={args.data_seed})",
         "lr": args.lr,
@@ -166,16 +166,15 @@ def cmd_embed_gram(args) -> int:
     dataset = _dataset_from(args)
     if args.model:
         with open(args.model, "r", encoding="utf-8") as fh:
-            thetas = tuple(json.load(fh)["thetas"])
+            model = embedding.model_from_json(fh.read())
     else:
-        thetas = tuple(args.thetas)
-    model = embedding.EmbeddingModel(thetas)
+        model = embedding.EmbeddingModel(tuple(args.thetas))
     if args.mode == "sampled" and args.seed is None:
         raise ValueError("--mode sampled requires --seed")
     g = embedding.gram(dataset, model, mode=args.mode, shots=args.shots, seed=args.seed)
     file_config = {
         "dataset": args.dataset or f"synthetic(n_per_class={args.n_per_class}, data_seed={args.data_seed})",
-        "thetas": ",".join(repr(t) for t in thetas),
+        "thetas": ",".join(repr(t) for t in model.thetas),
         "mode": args.mode,
         "shots": args.shots if args.mode == "sampled" else "n/a",
         "seed": args.seed if args.mode == "sampled" else "n/a",
@@ -226,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_flags(p)
     _add_env_flags(p)
     p.add_argument("--policy", default=None, help="policy JSON (default: no-op baseline)")
-    p.add_argument("--n-runs", type=int, default=1)
     p.add_argument("-o", "--output", default=None, help="optional report file")
     p.set_defaults(func=cmd_rl_eval)
 

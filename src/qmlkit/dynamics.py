@@ -14,6 +14,18 @@ at rate Gamma:
 
     D_sink(rho) = Gamma (2 |S><n| rho |n><S| - {|n><n|, rho}).
 
+Every jump operator has a single entry, so the whole generator folds
+into an effective non-Hermitian matrix K and a real gain matrix G:
+
+    drho/dt = K rho + rho K^dag + diag(G diag(rho))
+    G[i, j] = p A_ij / d_j^2 on the maze,   G[S, n] = 2 Gamma,
+    K       = -i(1-p) H - (1/2) diag(column sums of G)
+            = -i(1-p) H - (p/2) diag(loss) - Gamma |n><n|,
+
+where loss_j = sum_i A_ij / d_j^2 is the total hopping rate out of j.
+G moves population, K damps what G removes and carries the coherent
+part, and the output is Hermitian by construction.
+
 Because the sink is part of the state space the generator conserves
 trace, and the escape probability is simply rho_SS(t). The equivalent
 time-integral definition 2 Gamma * integral of rho_nn is kept as a
@@ -25,10 +37,12 @@ instead of renormalizing.
 """
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .header import config_header
 from .maze import MazeGraph, degrees
 from .states import DensityMatrix
 
@@ -42,6 +56,14 @@ class IntegrationError(RuntimeError):
 
 
 TRACE_DRIFT_LIMIT = 1e-6
+
+
+def whole_steps(span: float, dt: float, name: str) -> int:
+    """Number of dt steps in ``span``; raises ValueError unless it is a whole number."""
+    steps = round(span / dt)
+    if not math.isclose(steps * dt, span, rel_tol=1e-9):
+        raise ValueError(f"{name}={span} is not a whole multiple of dt={dt}")
+    return steps
 
 
 @dataclass(frozen=True)
@@ -69,6 +91,7 @@ class QSWParams:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not 0.0 < self.dt <= self.t_final:
             raise ValueError("dt must satisfy 0 < dt <= t_final")
+        whole_steps(self.t_final, self.dt, "t_final")
 
     @property
     def n_steps(self) -> int:
@@ -77,77 +100,43 @@ class QSWParams:
 
 @dataclass(frozen=True, eq=False)
 class LindbladModel:
-    """Generator data for one maze topology.
+    """Generator data for one maze topology, in the (K, G) form above.
 
-    The jump operator for an ordered linked pair (i, j) is the single-entry
-    matrix (A_ij / d_j) |i><j| with d_j the degree of the source node j;
-    the full matrices are available through :meth:`jump_ops`. ``sink_rate``
-    is Gamma, except in the validation variant from :meth:`without_sink`
-    where it is 0.
+    ``hop_rates[i, j]`` is the classical hopping rate A_ij / d_j^2, the
+    squared coefficient of the jump operator (A_ij / d_j) |i><j|, with a
+    zero row and column for the sink. ``sink_rate`` is Gamma, except in
+    the validation variant from :meth:`without_sink` where it is 0.
+    ``K`` and ``G`` are derived from the other fields and read-only.
     """
 
     dim: int
     hamiltonian: np.ndarray
-    jumps: tuple[tuple[int, int, float], ...]
+    hop_rates: np.ndarray
     sink_exit: int
     entrance: int
     params: QSWParams
     sink_rate: float
-    # Precomputed generator pieces, already scaled by the mixing parameter:
-    # _h_eff = -i (1-p) H, _gain_p[i, j] = p * (squared jump coefficient
-    # feeding population j -> i), _loss_half = p/2 * column sums of the
-    # unscaled gain. None where the corresponding term vanishes.
-    _gain: np.ndarray = field(repr=False, default=None)
-    _loss: np.ndarray = field(repr=False, default=None)
-    _h_eff: np.ndarray = field(repr=False, default=None)
-    _gain_p: np.ndarray = field(repr=False, default=None)
-    _loss_half: np.ndarray = field(repr=False, default=None)
-    _idx: np.ndarray = field(repr=False, default=None)
+    K: np.ndarray = field(init=False, repr=False)
+    G: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        gain = np.zeros((self.dim, self.dim))
-        for i, j, coeff in self.jumps:
-            gain[i, j] += coeff * coeff
-        loss = gain.sum(axis=0)
         p = self.params.p
-        h_eff = None if p == 1.0 else (-1j * (1.0 - p)) * self.hamiltonian
-        gain_p = None if p == 0.0 else (p * gain).astype(complex)
-        loss_half = None if p == 0.0 else 0.5 * p * loss
-        for arr in (gain, loss, h_eff, gain_p, loss_half):
-            if arr is not None:
-                arr.flags.writeable = False
-        object.__setattr__(self, "_gain", gain)
-        object.__setattr__(self, "_loss", loss)
-        object.__setattr__(self, "_h_eff", h_eff)
-        object.__setattr__(self, "_gain_p", gain_p)
-        object.__setattr__(self, "_loss_half", loss_half)
-        object.__setattr__(self, "_idx", np.arange(self.dim))
+        gain = p * self.hop_rates
+        gain[self.sink, self.sink_exit] = 2.0 * self.sink_rate
+        k = (-1j * (1.0 - p)) * self.hamiltonian - np.diag(0.5 * gain.sum(axis=0))
+        gain.flags.writeable = False
+        k.flags.writeable = False
+        object.__setattr__(self, "K", k)
+        object.__setattr__(self, "G", gain)
 
     @property
     def sink(self) -> int:
         """Basis index of the sink state (last index)."""
         return self.dim - 1
 
-    def jump_ops(self) -> list[np.ndarray]:
-        """Dense jump operator matrices, one per ordered linked pair."""
-        ops = []
-        for i, j, coeff in self.jumps:
-            op = np.zeros((self.dim, self.dim), dtype=complex)
-            op[i, j] = coeff
-            ops.append(op)
-        return ops
-
     def without_sink(self) -> "LindbladModel":
-        """Variant with the sink transfer switched off (validation mode)."""
-        return LindbladModel(
-            dim=self.dim,
-            hamiltonian=self.hamiltonian,
-            jumps=self.jumps,
-            sink_exit=self.sink_exit,
-            entrance=self.entrance,
-            params=self.params,
-            sink_rate=0.0,
-        )
+        """The same model with Gamma left out of K and G (validation mode)."""
+        return replace(self, sink_rate=0.0)
 
 
 def build_model(maze: MazeGraph, params: QSWParams) -> LindbladModel:
@@ -155,22 +144,21 @@ def build_model(maze: MazeGraph, params: QSWParams) -> LindbladModel:
 
     Degrees are recomputed from the adjacency as given, so the same call
     works for pristine perfect mazes and for topologies already edited
-    by an agent; an isolated node simply contributes no jump operators.
+    by an agent; an isolated node has an all-zero adjacency column and
+    so no hopping rates.
     """
     n = maze.n_nodes
     dim = n + 1
     ham = np.zeros((dim, dim), dtype=complex)
     ham[:n, :n] = maze.adjacency
     ham.flags.writeable = False
-    d = degrees(maze)
-    jumps = []
-    for i in range(n):
-        for j in np.nonzero(maze.adjacency[i])[0]:
-            jumps.append((i, int(j), 1.0 / d[j]))
+    rates = np.zeros((dim, dim))
+    rates[:n, :n] = maze.adjacency / np.maximum(degrees(maze), 1) ** 2
+    rates.flags.writeable = False
     return LindbladModel(
         dim=dim,
         hamiltonian=ham,
-        jumps=tuple(jumps),
+        hop_rates=rates,
         sink_exit=maze.exit,
         entrance=maze.entrance,
         params=params,
@@ -184,36 +172,19 @@ def initial_state(model: LindbladModel) -> DensityMatrix:
 
 
 def _rhs(rho: np.ndarray, model: LindbladModel) -> np.ndarray:
-    """Generator applied to an arbitrary (not necessarily Hermitian) matrix."""
-    h_eff = model._h_eff
-    if h_eff is not None:
-        out = h_eff @ rho
-        out -= rho @ h_eff
-    else:
-        out = np.zeros_like(rho)
-    gain_p = model._gain_p
-    if gain_p is not None:
-        idx = model._idx
-        out[idx, idx] += gain_p @ rho.diagonal()
-        loss_half = model._loss_half
-        damp = loss_half[:, None] * rho
-        damp += rho * loss_half[None, :]
-        out -= damp
-    sr = model.sink_rate
-    if sr != 0.0:
-        n, sink = model.sink_exit, model.sink
-        out[sink, sink] += 2.0 * sr * rho[n, n]
-        out[n, :] -= sr * rho[n, :]
-        out[:, n] -= sr * rho[:, n]
+    """K rho + rho K^dag + diag(G diag(rho)) for a Hermitian matrix rho."""
+    a = model.K @ rho
+    out = a + a.conj().T
+    out.flat[:: model.dim + 1] += model.G @ rho.diagonal()
     return out
 
 
 def lindblad_rhs(rho, model: LindbladModel) -> np.ndarray:
     """drho/dt for a state of the model's dimension.
 
-    Accepts a :class:`DensityMatrix` or a plain array. The output is
-    Hermitian and traceless for Hermitian input: total population only
-    moves between maze and sink, never leaves the state space.
+    Accepts a :class:`DensityMatrix` or a plain Hermitian array. The
+    output is Hermitian and traceless: total population only moves
+    between maze and sink, never leaves the state space.
     """
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if mat.shape != (model.dim, model.dim):
@@ -359,8 +330,7 @@ def write_trajectory_csv(traj: Trajectory, path, config: dict | None = None) -> 
     """Write `t,p_sink,pop_0..pop_N` rows, one per snapshot."""
     n_pop = traj.states[0].dim
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in _config_header(config):
-            fh.write(line)
+        fh.write(config_header(config))
         fh.write("t,p_sink," + ",".join(f"pop_{i}" for i in range(n_pop)) + "\n")
         for t, p_sink, state in zip(traj.times, traj.p_sink_series, traj.states):
             pops = ",".join(repr(float(v)) for v in state.populations())
@@ -381,9 +351,3 @@ def write_states_json(traj: Trajectory, path, config: dict | None = None) -> Non
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 
-
-def _config_header(config: dict | None) -> list[str]:
-    if not config:
-        return []
-    pairs = " ".join(f"{k}={config[k]}" for k in sorted(config))
-    return [f"# config: {pairs}\n"]

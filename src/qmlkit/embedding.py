@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .header import config_header
 from .linalg import rotation_y
 from .states import PureState
 
@@ -252,7 +253,13 @@ class TrainConfig:
     seed: int = 0
 
 
-def _descent(dataset: LabeledDataset1D, config: TrainConfig):
+def train_embedding(dataset: LabeledDataset1D, config: TrainConfig) -> tuple[EmbeddingModel, np.ndarray, np.ndarray]:
+    """Full-batch gradient descent from seeded uniform(-pi, pi) angles.
+
+    Returns the final model, the loss recorded at the start of every
+    epoch, and the angles at the start of every epoch (one row each).
+    The step is fixed, so the loss curve need not be monotone.
+    """
     if config.epochs < 1:
         raise ValueError("epochs must be >= 1")
     rng = np.random.default_rng(config.seed)
@@ -265,16 +272,6 @@ def _descent(dataset: LabeledDataset1D, config: TrainConfig):
         theta_log[epoch] = thetas
         thetas = thetas - config.learning_rate * gradient(model, dataset)
     return EmbeddingModel(tuple(thetas)), curve, theta_log
-
-
-def train_embedding(dataset: LabeledDataset1D, config: TrainConfig) -> tuple[EmbeddingModel, np.ndarray]:
-    """Full-batch gradient descent from seeded uniform(-pi, pi) angles.
-
-    Returns the final model and the loss recorded at the start of every
-    epoch. The step is fixed, so the curve need not be monotone.
-    """
-    model, curve, _ = _descent(dataset, config)
-    return model, curve
 
 
 def classify(points, model: EmbeddingModel, train_dataset: LabeledDataset1D) -> tuple[str, ...]:
@@ -292,9 +289,7 @@ def classify(points, model: EmbeddingModel, train_dataset: LabeledDataset1D) -> 
 
 def write_gram_csv(g: GramMatrix, path, config: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if config:
-            pairs = " ".join(f"{k}={config[k]}" for k in sorted(config))
-            fh.write(f"# config: {pairs}\n")
+        fh.write(config_header(config))
         for row in g.matrix:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
@@ -302,13 +297,24 @@ def write_gram_csv(g: GramMatrix, path, config: dict | None = None) -> None:
 def write_training_log(curve: np.ndarray, theta_log: np.ndarray, path, config: dict | None = None) -> None:
     """Write `epoch,loss,theta1,theta2,theta3` rows."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if config:
-            pairs = " ".join(f"{k}={config[k]}" for k in sorted(config))
-            fh.write(f"# config: {pairs}\n")
+        fh.write(config_header(config))
         fh.write("epoch,loss,theta1,theta2,theta3\n")
         for epoch, (value, thetas) in enumerate(zip(curve, theta_log)):
             ts = ",".join(repr(float(t)) for t in thetas)
             fh.write(f"{epoch},{float(value)!r},{ts}\n")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def model_from_json(text: str) -> EmbeddingModel:
+    """Parse an angles document (an object with a ``thetas`` array)."""
+    doc = json.loads(text)
+    thetas = doc.get("thetas") if isinstance(doc, dict) else None
+    if not isinstance(thetas, list) or len(thetas) != N_THETAS or not all(map(_is_number, thetas)):
+        raise ValueError(f"thetas: expected an array of {N_THETAS} numbers")
+    return EmbeddingModel(tuple(thetas))
 
 
 def dataset_to_json(dataset: LabeledDataset1D) -> str:
@@ -324,6 +330,8 @@ def dataset_from_json(text: str) -> LabeledDataset1D:
     for k, item in enumerate(doc):
         if not isinstance(item, dict) or set(item) != {"x", "label"}:
             raise ValueError(f"entry {k}: expected an object with keys x and label")
+        if not _is_number(item["x"]):
+            raise ValueError(f"entry {k}: x must be a number")
         points.append(float(item["x"]))
         labels.append(str(item["label"]))
     return LabeledDataset1D(points=np.array(points), labels=tuple(labels))

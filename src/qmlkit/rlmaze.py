@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import QSWParams, build_model, propagate
+from .dynamics import QSWParams, build_model, propagate, whole_steps
+from .header import config_header
 from .maze import MazeGraph, grid_links, toggle_link
 from .states import DensityMatrix
 
@@ -100,9 +101,7 @@ class MazeEnv:
             raise ValueError("action_period must be positive")
         if max_actions * action_period > params.t_final + 1e-9:
             raise ValueError("max_actions * action_period must not exceed t_final")
-        steps_per_interval = int(round(action_period / params.dt))
-        if steps_per_interval < 1:
-            raise ValueError("action_period must cover at least one integrator step")
+        steps_per_interval = whole_steps(action_period, params.dt, "action_period")
         if max_actions * steps_per_interval > params.n_steps:
             raise ValueError("action intervals do not fit into the horizon")
         self.base_maze = base_maze
@@ -121,10 +120,8 @@ class MazeEnv:
         self._steps_done = 0
         self._done = True
 
-    def reset(self, seed: int | None = None) -> Observation:
-        """Start a fresh episode; ``seed`` is accepted for interface
-        symmetry but the environment itself is deterministic."""
-        del seed
+    def reset(self) -> Observation:
+        """Start a fresh episode; the environment is deterministic."""
         self._maze = self.base_maze
         self._model = build_model(self._maze, self.params)
         rho0 = np.zeros((self._model.dim, self._model.dim), dtype=complex)
@@ -214,11 +211,19 @@ class Policy:
 
     @classmethod
     def from_json(cls, text: str) -> "Policy":
+        """Parse a policy document; malformed input raises ValueError naming the field."""
         doc = json.loads(text)
-        table = {
-            cls._key_from_str(key): Action.from_label(label)
-            for key, label in doc["policy"].items()
-        }
+        entries = doc.get("policy") if isinstance(doc, dict) else None
+        if not isinstance(entries, dict):
+            raise ValueError("policy: expected an object mapping state keys to action labels")
+        table = {}
+        for key, label in entries.items():
+            if not isinstance(label, str):
+                raise ValueError(f"policy[{key!r}]: action label must be a string")
+            try:
+                table[cls._key_from_str(key)] = Action.from_label(label)
+            except ValueError as exc:
+                raise ValueError(f"policy[{key!r}]: {exc}") from exc
         return cls(table)
 
 
@@ -325,24 +330,18 @@ def train(
     return policy, curve
 
 
-def evaluate(env: MazeEnv, policy: Policy, n_runs: int = 1) -> float:
-    """Mean final escape probability over greedy rollouts.
+def evaluate(env: MazeEnv, policy: Policy) -> float:
+    """Final escape probability of one greedy rollout.
 
-    The environment is deterministic, so every rollout is identical and
-    n_runs = 1 already gives the exact value.
+    The environment is deterministic, so one rollout is the exact value.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    values = [run_episode(env, policy).final_p_sink for _ in range(n_runs)]
-    return float(np.mean(values))
+    return float(run_episode(env, policy).final_p_sink)
 
 
 def write_curve_csv(curve: LearningCurve, path, config: dict | None = None) -> None:
     """Write `episode,reward,running_avg_100` rows."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if config:
-            pairs = " ".join(f"{k}={config[k]}" for k in sorted(config))
-            fh.write(f"# config: {pairs}\n")
+        fh.write(config_header(config))
         fh.write("episode,reward,running_avg_100\n")
         for i, (r, avg) in enumerate(zip(curve.rewards, curve.running_avg)):
             fh.write(f"{i},{float(r)!r},{float(avg)!r}\n")

@@ -4,7 +4,9 @@ These deliberately avoid the package's own integration code paths: the
 classical walker oracle builds its rate matrix from scratch and is
 integrated with scipy's adaptive solvers, the characteristic polynomial
 comes from the Faddeev-LeVerrier recursion, so agreement with the
-package is evidence, not tautology.
+package is evidence, not tautology. The literal Lindblad generator
+sums the jump operators one by one, built here from the maze adjacency,
+and imports nothing from the package.
 """
 
 import numpy as np
@@ -32,6 +34,37 @@ def classical_rate_matrix(adjacency, gamma: float, exit_node: int) -> np.ndarray
     rates[exit_node, exit_node] -= 2.0 * gamma
     rates[n, exit_node] += 2.0 * gamma
     return rates
+
+
+def literal_rhs(rho, adjacency, p: float, gamma: float, exit_node: int) -> np.ndarray:
+    """The walker's Lindblad generator written out term by term.
+
+    H is the adjacency padded with a zero row and column for the sink
+    (last index); every ordered linked pair (i, j) has the jump operator
+    (A_ij / d_j)|i><j|; the sink term is
+    gamma (2 |S><n| rho |n><S| - {|n><n|, rho}). gamma = 0 gives the
+    model without sink.
+    """
+    adjacency = np.asarray(adjacency, dtype=float)
+    n = adjacency.shape[0]
+    dim = n + 1
+    d = adjacency.sum(axis=0)
+    ham = np.zeros((dim, dim), dtype=complex)
+    ham[:n, :n] = adjacency
+    out = (-1j * (1.0 - p)) * (ham @ rho - rho @ ham)
+    for i in range(n):
+        for j in range(n):
+            if adjacency[i, j]:
+                op = np.zeros((dim, dim), dtype=complex)
+                op[i, j] = adjacency[i, j] / d[j]
+                op_dag = op.conj().T
+                out += p * (op @ rho @ op_dag - 0.5 * (op_dag @ op @ rho + rho @ op_dag @ op))
+    proj = np.zeros((dim, dim), dtype=complex)
+    proj[exit_node, exit_node] = 1.0
+    transfer = np.zeros_like(proj)
+    transfer[n, n] = rho[exit_node, exit_node]
+    out += gamma * (2.0 * transfer - (proj @ rho + rho @ proj))
+    return out
 
 
 def classical_populations(adjacency, gamma: float, exit_node: int, start: int, times) -> np.ndarray:

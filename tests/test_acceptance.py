@@ -201,7 +201,7 @@ def test_criterion_08_embedding_separates_classes():
     train_ds = q.synth_dataset(20, seed=EMBED_DATA_SEED)
     val_ds = q.synth_dataset(5, seed=EMBED_VAL_SEED)  # 10 validation points
     config = q.TrainConfig(learning_rate=0.1, epochs=300, seed=EMBED_TRAIN_SEED)
-    model, curve = q.train_embedding(train_ds, config)
+    model, curve, _ = q.train_embedding(train_ds, config)
     final_loss = q.loss(model, train_ds)
     g = q.gram(val_ds, model).matrix
     same, cross = _pair_indices(val_ds.labels)

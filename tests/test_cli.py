@@ -262,6 +262,31 @@ class TestEmbedCommands:
         assert strip(log.read_bytes()) == strip(log2.read_bytes())
 
 
+class TestMalformedInputFiles:
+    def check_exit_2(self, result, field):
+        assert result.returncode == 2
+        assert field in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_policy_without_policy_field(self, tmp_path, small_maze):
+        bad = tmp_path / "policy.json"
+        bad.write_text('{"config": {}}')
+        result = run_cli("rl-eval", "--maze", small_maze, *RL_FLAGS, "--policy", bad)
+        self.check_exit_2(result, "policy:")
+
+    def test_model_without_thetas(self, tmp_path):
+        bad = tmp_path / "model.json"
+        bad.write_text('{"config": {}}')
+        result = run_cli("embed-gram", "--n-per-class", 3, "--model", bad, "-o", tmp_path / "g.csv")
+        self.check_exit_2(result, "thetas:")
+
+    def test_dataset_entry_with_null_x(self, tmp_path):
+        bad = tmp_path / "data.json"
+        bad.write_text('[{"x": null, "label": "A"}, {"x": 0.5, "label": "B"}]')
+        result = run_cli("embed-gram", "--dataset", bad, "-o", tmp_path / "g.csv")
+        self.check_exit_2(result, "entry 0: x")
+
+
 class TestTopLevel:
     def test_no_command_exits_2(self):
         result = run_cli()

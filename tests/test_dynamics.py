@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmlkit.dynamics import (
     IntegrationError,
@@ -11,28 +13,11 @@ from qmlkit.dynamics import (
     lindblad_rhs,
     p_sink_from_integral,
 )
-from qmlkit.maze import generate_perfect_maze, toggle_link
+from qmlkit.maze import MazeGraph, generate_perfect_maze, grid_links, toggle_link
 from qmlkit.states import DensityMatrix
 
-from oracles import classical_populations, random_density_matrix
+from oracles import classical_populations, literal_rhs, random_density_matrix
 from test_maze import path_maze
-
-
-def literal_rhs(rho, model):
-    """The generator written out term by term from the operator lists."""
-    p, gamma = model.params.p, model.sink_rate
-    ham = model.hamiltonian
-    out = (-1j * (1.0 - p)) * (ham @ rho - rho @ ham)
-    for op in model.jump_ops():
-        op_dag = op.conj().T
-        out += p * (op @ rho @ op_dag - 0.5 * (op_dag @ op @ rho + rho @ op_dag @ op))
-    n, sink = model.sink_exit, model.sink
-    proj = np.zeros((model.dim, model.dim), dtype=complex)
-    proj[n, n] = 1.0
-    transfer = np.zeros_like(proj)
-    transfer[sink, sink] = rho[n, n]
-    out += gamma * (2.0 * transfer - (proj @ rho + rho @ proj))
-    return out
 
 
 class TestQSWParams:
@@ -50,6 +35,7 @@ class TestQSWParams:
             {"p": 0.5, "gamma": -1.0},
             {"p": 0.5, "dt": 0.0},
             {"p": 0.5, "dt": 2.0, "t_final": 1.0},
+            {"p": 0.5, "dt": 0.3, "t_final": 1.0},
             {"p": np.nan},
         ],
     )
@@ -59,23 +45,25 @@ class TestQSWParams:
 
 
 class TestBuildModel:
+    # G[i, j] = p * (squared coefficient of the jump j -> i) on the maze
+
     def test_two_node_path(self):
         model = build_model(path_maze(2), QSWParams(p=1.0))
         assert model.dim == 3
         # both nodes have degree 1, so both jump coefficients are 1
-        assert sorted(model.jumps) == [(0, 1, 1.0), (1, 0, 1.0)]
+        np.testing.assert_array_equal(model.G[:2, :2], [[0.0, 1.0], [1.0, 0.0]])
 
     def test_middle_node_coefficients(self):
         model = build_model(path_maze(3), QSWParams(p=1.0))
-        out_of_middle = [c for i, j, c in model.jumps if j == 1]
-        assert out_of_middle == [0.5, 0.5]
-        into_middle = [c for i, j, c in model.jumps if i == 1]
-        assert into_middle == [1.0, 1.0]
+        out_of_middle = model.G[[0, 2], 1]
+        np.testing.assert_array_equal(out_of_middle, [0.5**2, 0.5**2])
+        into_middle = model.G[1, [0, 2]]
+        np.testing.assert_array_equal(into_middle, [1.0, 1.0])
 
     def test_6x6_has_70_jump_operators(self):
         maze = generate_perfect_maze(6, 6, seed=1)
         model = build_model(maze, QSWParams(p=0.5))
-        assert len(model.jumps) == 70  # two ordered pairs per tree edge
+        assert np.count_nonzero(model.G[:36, :36]) == 70  # two ordered pairs per tree edge
 
     def test_hamiltonian_structure(self):
         maze = generate_perfect_maze(3, 3, seed=0)
@@ -89,15 +77,23 @@ class TestBuildModel:
         maze = path_maze(3)
         maze = toggle_link(maze, 0, 1)  # node 0 now isolated
         model = build_model(maze, QSWParams(p=1.0))
-        assert all(0 not in (i, j) for i, j, _ in model.jumps)
+        assert not model.G[0, :].any() and not model.G[:3, 0].any()
         # degrees recomputed: node 1 now has degree 1, not 2
-        assert (1, 2, 1.0) in model.jumps and (2, 1, 1.0) in model.jumps
+        assert model.G[1, 2] == 1.0 and model.G[2, 1] == 1.0
 
-    def test_jump_ops_single_entry(self):
-        model = build_model(path_maze(3), QSWParams(p=0.3))
-        for (i, j, coeff), op in zip(model.jumps, model.jump_ops()):
-            assert op[i, j] == coeff
-            assert np.count_nonzero(op) == 1
+    def test_effective_generator_entries(self):
+        # K = -i(1-p) H - (p/2) diag(loss) - Gamma |n><n|, loss_j = 1/d_j
+        maze = path_maze(3)  # degrees 1, 2, 1; exit is node 2
+        model = build_model(maze, QSWParams(p=0.3, gamma=0.7))
+        damping = 0.15 * np.array([1.0, 0.5, 1.0, 0.0])
+        damping[2] += 0.7
+        np.testing.assert_allclose(model.K, -0.7j * model.hamiltonian - np.diag(damping), atol=1e-15)
+        assert model.G[3, 2] == 2 * 0.7
+        plain = model.without_sink()
+        damping[2] -= 0.7
+        np.testing.assert_allclose(plain.K, -0.7j * model.hamiltonian - np.diag(damping), atol=1e-15)
+        assert not plain.G[3].any()
+        np.testing.assert_array_equal(plain.G[:3, :3], model.G[:3, :3])
 
 
 class TestLindbladRhs:
@@ -140,7 +136,7 @@ class TestLindbladRhs:
             model = build_model(maze, QSWParams(p=p, gamma=0.8))
             rho = random_density_matrix(model.dim, rng)
             np.testing.assert_allclose(
-                lindblad_rhs(rho, model), literal_rhs(rho, model), atol=1e-12
+                lindblad_rhs(rho, model), literal_rhs(rho, maze.adjacency, p, 0.8, maze.exit), atol=1e-12
             )
 
     def test_dimension_mismatch_rejected(self):
@@ -162,6 +158,52 @@ class TestLindbladRhs:
         nonzero = set(zip(*np.nonzero(np.abs(out) > 1e-15)))
         assert nonzero <= allowed
         assert any((0, m) in nonzero for m in neighbors)
+
+
+@st.composite
+def edited_mazes(draw):
+    """A random perfect maze from 1x2 to 4x4, then random agent toggles."""
+    width = draw(st.integers(1, 4))
+    height = draw(st.integers(2 if width == 1 else 1, 4))
+    seed = draw(st.integers(0, 2**16))
+    if min(width, height) >= 2:
+        maze = generate_perfect_maze(width, height, seed=seed)
+    else:  # a one-cell-wide grid has a single spanning tree: all its links
+        n = width * height
+        adj = np.zeros((n, n), dtype=np.int8)
+        for i, j in grid_links(width, height):
+            adj[i, j] = adj[j, i] = 1
+        maze = MazeGraph(width, height, adj, entrance=0, exit=n - 1, seed=seed)
+    links = grid_links(width, height)
+    for k in draw(st.lists(st.integers(0, len(links) - 1), max_size=6)):
+        maze = toggle_link(maze, *links[k])
+    if draw(st.booleans()):  # cut one node off completely
+        node = draw(st.integers(0, maze.n_nodes - 1))
+        for i, j in maze.edges():
+            if node in (i, j):
+                maze = toggle_link(maze, i, j)
+    return maze
+
+
+class TestRhsProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        maze=edited_mazes(),
+        p=st.floats(0.0, 1.0),
+        gamma=st.floats(0.0, 3.0, exclude_min=True),
+        state_seed=st.integers(0, 2**32 - 1),
+        sink=st.booleans(),
+    )
+    def test_matches_literal_rhs(self, maze, p, gamma, state_seed, sink):
+        model = build_model(maze, QSWParams(p=p, gamma=gamma))
+        if not sink:
+            model = model.without_sink()
+        rho = random_density_matrix(model.dim, np.random.default_rng(state_seed))
+        out = lindblad_rhs(rho, model)
+        expected = literal_rhs(rho, maze.adjacency, p, gamma if sink else 0.0, maze.exit)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+        assert np.max(np.abs(out - out.conj().T)) <= 1e-15
+        assert abs(out.trace()) <= 1e-12
 
 
 class TestInitialState:

@@ -248,7 +248,7 @@ class TestGradient:
 class TestTrain:
     def test_zero_learning_rate_is_flat(self):
         ds = synth_dataset(4, seed=3)
-        model, curve = train_embedding(ds, TrainConfig(learning_rate=0.0, epochs=5, seed=8))
+        model, curve, _ = train_embedding(ds, TrainConfig(learning_rate=0.0, epochs=5, seed=8))
         np.testing.assert_allclose(curve, curve[0], atol=0)
         rng = np.random.default_rng(8)
         np.testing.assert_allclose(model.thetas, rng.uniform(-np.pi, np.pi, 3), atol=0)
@@ -256,14 +256,14 @@ class TestTrain:
     def test_deterministic(self):
         ds = synth_dataset(4, seed=3)
         config = TrainConfig(learning_rate=0.1, epochs=10, seed=1)
-        model_a, curve_a = train_embedding(ds, config)
-        model_b, curve_b = train_embedding(ds, config)
+        model_a, curve_a, _ = train_embedding(ds, config)
+        model_b, curve_b, _ = train_embedding(ds, config)
         assert model_a.thetas == model_b.thetas
         np.testing.assert_array_equal(curve_a, curve_b)
 
     def test_loss_decreases_on_benchmark(self):
         ds = synth_dataset(10, seed=11)
-        model, curve = train_embedding(ds, TrainConfig(learning_rate=0.1, epochs=50, seed=0))
+        model, curve, _ = train_embedding(ds, TrainConfig(learning_rate=0.1, epochs=50, seed=0))
         assert loss(model, ds) <= curve[0]
 
 
