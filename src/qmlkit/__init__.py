@@ -33,14 +33,6 @@ from .embedding import (
     synth_dataset,
     train_embedding,
 )
-from .linalg import (
-    anticommutator,
-    commutator,
-    dagger,
-    min_eigenvalue,
-    rotation_x,
-    rotation_y,
-)
 from .maze import (
     MazeFormatError,
     MazeGraph,
@@ -84,11 +76,8 @@ __all__ = [
     "QSWParams",
     "TrainConfig",
     "Trajectory",
-    "anticommutator",
     "build_model",
     "classify",
-    "commutator",
-    "dagger",
     "degrees",
     "deserialize",
     "embed",
@@ -100,11 +89,8 @@ __all__ = [
     "initial_state",
     "lindblad_rhs",
     "loss",
-    "min_eigenvalue",
     "overlap_exact",
     "p_sink_from_integral",
-    "rotation_x",
-    "rotation_y",
     "run_episode",
     "serialize",
     "swap_test",

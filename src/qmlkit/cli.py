@@ -119,6 +119,10 @@ def cmd_rl_eval(args) -> int:
     if args.policy:
         with open(args.policy, "r", encoding="utf-8") as fh:
             policy = rlmaze.Policy.from_json(fh.read())
+        for name, value in _env_config(args).items():
+            if name != "maze" and policy.config.get(name, value) != value:
+                raise ValueError(f"config.{name}: policy was trained with {policy.config[name]!r}, this run uses {value!r}")
+        env.check_policy(policy)
     else:
         policy = rlmaze.Policy.noop()
     baseline = rlmaze.evaluate(env, rlmaze.Policy.noop())

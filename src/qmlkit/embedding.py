@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .header import config_header
-from .linalg import rotation_y
 from .states import PureState
 
 N_THETAS = 3
@@ -87,6 +86,14 @@ def synth_dataset(n_per_class: int, seed: int) -> LabeledDataset1D:
     points = np.concatenate([a_neg, a_pos, b])
     labels = ("A",) * n_per_class + ("B",) * n_per_class
     return LabeledDataset1D(points=points, labels=labels)
+
+
+def rotation_y(angle: float) -> np.ndarray:
+    """Single-qubit rotation exp(-i*angle*Y/2) in the half-angle convention."""
+    if not np.isfinite(angle):
+        raise ValueError("rotation angle must be finite")
+    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def _embed_batch(xs: np.ndarray, thetas) -> np.ndarray:
@@ -181,11 +188,12 @@ def gram(dataset, model: EmbeddingModel, mode: str = "exact", shots: int = 100, 
     if mode == "sampled":
         if seed is None:
             raise ValueError("sampled mode requires a seed")
+        pure = [PureState(s) for s in states]
         m = np.zeros((n, n))
         for i in range(n):
             for j in range(i, n):
                 pair_seed = np.random.SeedSequence([int(seed), i, j])
-                value = swap_test(PureState(states[i]), PureState(states[j]), shots, pair_seed)
+                value = swap_test(pure[i], pure[j], shots, pair_seed)
                 m[i, j] = m[j, i] = value
         return GramMatrix(m)
     raise ValueError(f"unknown mode {mode!r}")

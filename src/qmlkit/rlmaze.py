@@ -99,11 +99,9 @@ class MazeEnv:
             raise ValueError("max_actions must be >= 1")
         if action_period <= 0:
             raise ValueError("action_period must be positive")
-        if max_actions * action_period > params.t_final + 1e-9:
-            raise ValueError("max_actions * action_period must not exceed t_final")
         steps_per_interval = whole_steps(action_period, params.dt, "action_period")
         if max_actions * steps_per_interval > params.n_steps:
-            raise ValueError("action intervals do not fit into the horizon")
+            raise ValueError("max_actions * action_period must not exceed t_final")
         self.base_maze = base_maze
         self.params = params
         self.action_period = action_period
@@ -116,6 +114,7 @@ class MazeEnv:
         self._maze = None
         self._model = None
         self._rho = None
+        self._edges = None
         self._step_index = 0
         self._steps_done = 0
         self._done = True
@@ -138,7 +137,27 @@ class MazeEnv:
 
     def state_key(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """(step index, current edge set): the tabular agent's state."""
-        return (self._step_index, tuple(self._maze.edges()))
+        return (self._step_index, self._edges)
+
+    def check_policy(self, policy: "Policy") -> None:
+        """Reject a policy table with a key this environment can never reach.
+
+        A reachable key's step lies below max_actions, its edges (and its
+        action's link) are grid links of this maze, and at step 0 its
+        edges are exactly the maze's.
+        """
+        base_edges = tuple(self.base_maze.edges())
+        for key, action in policy.table.items():
+            step, edges = key
+            field = f"policy[{Policy._key_str(key)!r}]"
+            if not 0 <= step < self.max_actions:
+                raise ValueError(f"{field}: step {step} is outside 0..{self.max_actions - 1}")
+            links = edges if action.is_noop else edges + (action.link,)
+            for i, j in links:
+                if (i, j) not in self._legal_links:
+                    raise ValueError(f"{field}: {i}-{j} is not a grid link of this maze")
+            if step == 0 and edges != base_edges:
+                raise ValueError(f"{field}: step-0 edge set is not this maze's")
 
     def current_p_sink(self) -> float:
         return float(self._rho[self._model.sink, self._model.sink].real)
@@ -147,10 +166,11 @@ class MazeEnv:
         # Snapshot validation: the state must be a physical density matrix
         # after every step, across arbitrary topology changes.
         state = DensityMatrix(self._rho)
+        self._edges = tuple(self._maze.edges())
         return Observation(
             step_index=self._step_index,
             populations=state.populations(),
-            adjacency_bits=tuple(self._maze.edges()),
+            adjacency_bits=self._edges,
         )
 
     def step(self, action: Action) -> tuple[Observation, float, bool]:
@@ -179,8 +199,9 @@ class MazeEnv:
 class Policy:
     """Greedy action table keyed by environment state; no-op by default."""
 
-    def __init__(self, table: dict | None = None):
+    def __init__(self, table: dict | None = None, config: dict | None = None):
         self.table = dict(table or {})
+        self.config = dict(config or {})
 
     @classmethod
     def noop(cls) -> "Policy":
@@ -200,6 +221,8 @@ class Policy:
         pairs = tuple(
             tuple(int(v) for v in pair.split("-")) for pair in edges.split("+") if pair
         )
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValueError("edges must be i-j pairs")
         return (int(step), pairs)
 
     def to_json(self, config: dict | None = None) -> str:
@@ -216,6 +239,9 @@ class Policy:
         entries = doc.get("policy") if isinstance(doc, dict) else None
         if not isinstance(entries, dict):
             raise ValueError("policy: expected an object mapping state keys to action labels")
+        config = doc.get("config", {})
+        if not isinstance(config, dict):
+            raise ValueError("config: expected an object")
         table = {}
         for key, label in entries.items():
             if not isinstance(label, str):
@@ -224,7 +250,7 @@ class Policy:
                 table[cls._key_from_str(key)] = Action.from_label(label)
             except ValueError as exc:
                 raise ValueError(f"policy[{key!r}]: {exc}") from exc
-        return cls(table)
+        return cls(table, config)
 
 
 def run_episode(env: MazeEnv, policy: Policy) -> EpisodeRecord:

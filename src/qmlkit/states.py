@@ -9,8 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
-
 TRACE_ATOL = 1e-8
 HERMITIAN_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-8
@@ -52,9 +50,11 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix entries must be finite")
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
         if herm_dev > HERMITIAN_ATOL:
             raise ValueError(f"not Hermitian: max |M - M^dag| = {herm_dev}")

@@ -274,6 +274,21 @@ class TestMalformedInputFiles:
         result = run_cli("rl-eval", "--maze", small_maze, *RL_FLAGS, "--policy", bad)
         self.check_exit_2(result, "policy:")
 
+    def test_policy_from_another_run(self, tmp_path, small_maze):
+        policy = tmp_path / "policy.json"
+        result = run_cli(
+            "rl-train", "--maze", small_maze, *RL_FLAGS,
+            "--episodes", 2, "--seed", 0, "-o", tmp_path / "curve.csv", "--policy-out", policy,
+        )
+        assert result.returncode == 0
+        big_maze = tmp_path / "maze4.json"
+        assert run_cli("maze-gen", "--width", 4, "--height", 4, "--seed", 2, "-o", big_maze).returncode == 0
+        result = run_cli("rl-eval", "--maze", big_maze, *RL_FLAGS, "--policy", policy)
+        self.check_exit_2(result, "policy['0|")
+        assert result.stdout == ""
+        result = run_cli("rl-eval", "--maze", small_maze, "--p", 0.7, *RL_FLAGS[2:], "--policy", policy)
+        self.check_exit_2(result, "config.p: policy was trained with 0.8, this run uses 0.7")
+
     def test_model_without_thetas(self, tmp_path):
         bad = tmp_path / "model.json"
         bad.write_text('{"config": {}}')

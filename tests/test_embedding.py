@@ -15,6 +15,7 @@ from qmlkit.embedding import (
     gram,
     loss,
     overlap_exact,
+    rotation_y,
     swap_test,
     synth_dataset,
     train_embedding,
@@ -72,6 +73,29 @@ class TestEmbed:
             embed(np.nan, ZERO_MODEL)
         with pytest.raises(ValueError):
             EmbeddingModel((0.0, np.inf, 0.0))
+
+
+class TestRotationY:
+    def test_zero_angle_is_identity(self):
+        np.testing.assert_allclose(rotation_y(0.0), np.eye(2), atol=1e-15)
+
+    def test_inverse_rotation(self):
+        theta = 0.7321
+        np.testing.assert_allclose(
+            rotation_y(theta) @ rotation_y(-theta), np.eye(2), atol=1e-15
+        )
+
+    def test_unitarity(self):
+        rng = np.random.default_rng(7)
+        for angle in rng.uniform(-10, 10, size=50):
+            u = rotation_y(angle)
+            dev = np.max(np.abs(u.conj().T @ u - np.eye(2)))
+            assert dev <= 1e-12
+
+    def test_non_finite_angle_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                rotation_y(bad)
 
 
 class TestOverlapExact:

@@ -200,6 +200,24 @@ class TestPolicyJson:
         restored = Policy.from_json(policy.to_json(config={"note": "test"}))
         assert restored.table == policy.table
 
+    def test_check_policy_rejects_unreachable_keys(self, env):
+        policy, _ = train(env, QLearningConfig(), episodes=3, seed=5)
+        env.check_policy(policy)
+        edges = tuple(env.base_maze.edges())
+        for key, action, message in (
+            ((4, edges), Action.noop(), "step 4"),
+            ((1, edges + ((0, 8),)), Action.noop(), "0-8 is not a grid link"),
+            ((1, edges), Action.toggle(0, 4), "0-4 is not a grid link"),
+            ((0, edges[1:]), Action.noop(), "step-0 edge set"),
+        ):
+            with pytest.raises(ValueError, match=r"policy\['%d\|" % key[0]) as exc:
+                env.check_policy(Policy({key: action}))
+            assert message in str(exc.value)
+
+    def test_malformed_key_names_the_key(self):
+        with pytest.raises(ValueError, match=r"policy\['0\|0-1-2'\]: edges must be i-j pairs"):
+            Policy.from_json('{"policy": {"0|0-1-2": "noop"}}')
+
     def test_default_is_noop(self):
         policy = Policy.noop()
         assert policy.action_for((0, ((0, 1),))).is_noop

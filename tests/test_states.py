@@ -3,7 +3,7 @@ import pytest
 
 from qmlkit.states import DensityMatrix, PureState
 
-from oracles import random_density_matrix, random_pure_density_matrix
+from oracles import min_eigenvalue_from_roots, random_density_matrix, random_pure_density_matrix
 
 
 class TestPureState:
@@ -58,6 +58,30 @@ class TestDensityMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.ones((2, 3)) / 6.0)
+        # a NaN would slip through every comparison below the shape check
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_positivity_matches_characteristic_polynomial_roots(self):
+        # I/d + s*T with T random traceless Hermitian has trace 1, and its
+        # smallest eigenvalue falls on either side of the floor as s varies
+        rng = np.random.default_rng(8)
+        outcomes = []
+        for _ in range(40):
+            a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+            t = a + a.conj().T
+            t -= (t.trace() / 5) * np.eye(5)
+            m = np.eye(5) / 5 + rng.uniform(0.0, 0.08) * t
+            lo = min_eigenvalue_from_roots(m)
+            if abs(lo + 1e-8) < 1e-3:  # too close to the floor to call
+                continue
+            if lo >= -1e-8:
+                DensityMatrix(m)
+            else:
+                with pytest.raises(ValueError, match="positive"):
+                    DensityMatrix(m)
+            outcomes.append(lo >= -1e-8)
+        assert 10 <= sum(outcomes) <= len(outcomes) - 10
 
     def test_purity_of_pure_state(self):
         rng = np.random.default_rng(1)
