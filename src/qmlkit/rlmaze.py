@@ -11,7 +11,10 @@ up to the horizon is integrated and credited to the last step.
 
 Dynamics are deterministic, so a fixed policy always reproduces the
 same episode; all randomness lives in the ε-greedy exploration of
-:func:`train`, seeded explicitly.
+:func:`train`, seeded explicitly. The same determinism lets
+:class:`MazeEnv` memoize the state reached after each action prefix,
+so an interval already integrated in an earlier episode is not
+integrated again.
 """
 
 import json
@@ -25,6 +28,8 @@ from .maze import MazeGraph, grid_links, toggle_link
 from .states import DensityMatrix
 
 POPULATION_FLOOR = -1e-8
+# Stored bytes of memoized states above which reset() empties the memo.
+MEMO_BUDGET_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,16 @@ class EpisodeRecord:
 
 
 class MazeEnv:
-    """Gym-style environment over one maze and one parameter set."""
+    """Gym-style environment over one maze and one parameter set.
+
+    The state after an interval depends only on the actions taken since
+    reset(), so the environment keeps an exact memo from that action
+    prefix (a tuple of action links, None for a no-op) to the read-only
+    post-interval state. A step whose prefix is in the memo takes the
+    stored state instead of integrating; results are bit-identical
+    either way. reset() empties the memo once it holds more than
+    ``MEMO_BUDGET_BYTES``.
+    """
 
     def __init__(self, base_maze: MazeGraph, params: QSWParams, action_period: float, max_actions: int):
         if max_actions < 1:
@@ -111,23 +125,29 @@ class MazeEnv:
             Action.toggle(i, j) for i, j in grid_links(base_maze.width, base_maze.height)
         )
         self._legal_links = frozenset(a.link for a in self.action_space if not a.is_noop)
+        self._base_model = build_model(base_maze, params)
+        rho0 = np.zeros((self._base_model.dim, self._base_model.dim), dtype=complex)
+        rho0[self._base_model.entrance, self._base_model.entrance] = 1.0
+        rho0.flags.writeable = False
+        self._rho0 = rho0
+        self._memo: dict[tuple, np.ndarray] = {}
+        self._memo_bytes = 0
         self._maze = None
-        self._model = None
+        self._model = None  # None while a toggle has left it stale
         self._rho = None
         self._edges = None
-        self._step_index = 0
-        self._steps_done = 0
+        self._prefix: tuple = ()  # action links since reset(); its length is the step index
         self._done = True
 
     def reset(self) -> Observation:
         """Start a fresh episode; the environment is deterministic."""
+        if self._memo_bytes > MEMO_BUDGET_BYTES:
+            self._memo.clear()
+            self._memo_bytes = 0
         self._maze = self.base_maze
-        self._model = build_model(self._maze, self.params)
-        rho0 = np.zeros((self._model.dim, self._model.dim), dtype=complex)
-        rho0[self._model.entrance, self._model.entrance] = 1.0
-        self._rho = rho0
-        self._step_index = 0
-        self._steps_done = 0
+        self._model = self._base_model
+        self._rho = self._rho0
+        self._prefix = ()
         self._done = False
         return self._observation()
 
@@ -137,7 +157,7 @@ class MazeEnv:
 
     def state_key(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """(step index, current edge set): the tabular agent's state."""
-        return (self._step_index, self._edges)
+        return (len(self._prefix), self._edges)
 
     def check_policy(self, policy: "Policy") -> None:
         """Reject a policy table with a key this environment can never reach.
@@ -160,7 +180,7 @@ class MazeEnv:
                 raise ValueError(f"{field}: step-0 edge set is not this maze's")
 
     def current_p_sink(self) -> float:
-        return float(self._rho[self._model.sink, self._model.sink].real)
+        return float(self._rho[-1, -1].real)
 
     def _observation(self) -> Observation:
         # Snapshot validation: the state must be a physical density matrix
@@ -168,32 +188,42 @@ class MazeEnv:
         state = DensityMatrix(self._rho)
         self._edges = tuple(self._maze.edges())
         return Observation(
-            step_index=self._step_index,
+            step_index=len(self._prefix),
             populations=state.populations(),
             adjacency_bits=self._edges,
         )
 
     def step(self, action: Action) -> tuple[Observation, float, bool]:
-        """Apply one action, integrate one interval, return sink gain."""
+        """Apply one action, integrate one interval, return sink gain.
+
+        The last action's interval runs on to the horizon. Nothing is
+        committed unless the action is legal and the integration succeeds.
+        """
         if self._done:
             raise ValueError("episode is over; call reset()")
+        maze, model = self._maze, self._model
         if not action.is_noop:
             if action.link not in self._legal_links:
                 raise ValueError(f"illegal action {action.label}")
-            self._maze = toggle_link(self._maze, *action.link)
-            self._model = build_model(self._maze, self.params)
+            maze = toggle_link(maze, *action.link)
+            model = None
+        prefix = self._prefix + (action.link,)
+        done = len(prefix) == self.max_actions
+        rho = self._memo.get(prefix)
+        if rho is None:
+            if model is None:
+                model = build_model(maze, self.params)
+            first = len(self._prefix) * self.steps_per_interval
+            n_steps = self.params.n_steps - first if done else self.steps_per_interval
+            rho = propagate(self._rho, model, n_steps, first_step=first)
+            rho.flags.writeable = False
+            self._memo[prefix] = rho
+            self._memo_bytes += rho.nbytes
         before = self.current_p_sink()
-        self._rho = propagate(self._rho, self._model, self.steps_per_interval, first_step=self._steps_done)
-        self._steps_done += self.steps_per_interval
-        self._step_index += 1
-        if self._step_index == self.max_actions:
-            remaining = self.params.n_steps - self._steps_done
-            if remaining > 0:
-                self._rho = propagate(self._rho, self._model, remaining, first_step=self._steps_done)
-                self._steps_done += remaining
-            self._done = True
-        reward = self.current_p_sink() - before
-        return self._observation(), reward, self._done
+        self._maze, self._model, self._rho = maze, model, rho
+        self._prefix = prefix
+        self._done = done
+        return self._observation(), self.current_p_sink() - before, done
 
 
 class Policy:
@@ -295,12 +325,10 @@ class LearningCurve:
 
 
 def _running_average(values: np.ndarray, window: int) -> np.ndarray:
-    out = np.empty_like(values)
     cumulative = np.concatenate([[0.0], np.cumsum(values)])
-    for i in range(len(values)):
-        lo = max(0, i - window + 1)
-        out[i] = (cumulative[i + 1] - cumulative[lo]) / (i + 1 - lo)
-    return out
+    idx = np.arange(len(values))
+    lo = np.maximum(0, idx - window + 1)
+    return (cumulative[1:] - cumulative[lo]) / (idx + 1 - lo)
 
 
 def train(

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qmlkit import cli, rlmaze
 from qmlkit.maze import deserialize
 
 from oracles import classical_populations
@@ -175,6 +176,27 @@ class TestRlCommands:
         values = dict(line.split("=") for line in result.stdout.strip().splitlines())
         assert float(values["baseline_p_sink"]) == pytest.approx(final_p_sink, abs=1e-12)
         assert float(values["policy_p_sink"]) == pytest.approx(final_p_sink, abs=1e-12)
+
+    def test_eval_without_policy_integrates_one_episode(self, small_maze, monkeypatch, capsys):
+        propagate, evaluate = rlmaze.propagate, rlmaze.evaluate
+        steps, per_rollout = [0], []
+
+        def counting_propagate(rho, model, n_steps, *args, **kwargs):
+            steps[0] += n_steps
+            return propagate(rho, model, n_steps, *args, **kwargs)
+
+        def counting_evaluate(env, policy):
+            before = steps[0]
+            value = evaluate(env, policy)
+            per_rollout.append(steps[0] - before)
+            return value
+
+        monkeypatch.setattr(rlmaze, "propagate", counting_propagate)
+        monkeypatch.setattr(rlmaze, "evaluate", counting_evaluate)
+        assert cli.main(["rl-eval", "--maze", str(small_maze), *map(str, RL_FLAGS)]) == 0
+        assert per_rollout == [40, 0]  # t_final / dt, then all memo hits
+        values = dict(line.split("=") for line in capsys.readouterr().out.split())
+        assert values["baseline_p_sink"] == values["policy_p_sink"]
 
     def test_eval_report_deterministic(self, tmp_path, small_maze):
         reports = []

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmlkit.dynamics import QSWParams, build_model, evolve, initial_state
-from qmlkit.maze import generate_perfect_maze
+from qmlkit import rlmaze
+from qmlkit.dynamics import IntegrationError, QSWParams, build_model, evolve, initial_state
+from qmlkit.maze import degrees, generate_perfect_maze
 from qmlkit.rlmaze import (
     Action,
     LearningCurve,
@@ -139,7 +142,9 @@ class TestStep:
     def test_episode_determinism(self, env):
         policy, _ = train(env, QLearningConfig(), episodes=3, seed=6)
         first = run_episode(env, policy)
-        second = run_episode(env, policy)
+        # a fresh environment has an empty memo, so this episode is integrated again
+        fresh = MazeEnv(env.base_maze, PARAMS, env.action_period, env.max_actions)
+        second = run_episode(fresh, policy)
         assert first.actions == second.actions
         np.testing.assert_array_equal(first.rewards, second.rewards)
         assert first.final_p_sink == second.final_p_sink
@@ -153,6 +158,98 @@ class TestStep:
             obs, _, done = env.step(action)
             assert obs.populations.min() >= -1e-8
             assert obs.populations.sum() <= 1.0 + 1e-6
+
+
+def _rollout(env, actions):
+    """Rewards, per-step populations and edge sets, and final p_sink of one episode."""
+    obs = env.reset()
+    rewards, pops, bits = [], [obs.populations], [obs.adjacency_bits]
+    for action in actions:
+        obs, reward, _ = env.step(action)
+        rewards.append(reward)
+        pops.append(obs.populations)
+        bits.append(obs.adjacency_bits)
+    assert env.done
+    return np.array(rewards), np.array(pops), bits, env.current_p_sink()
+
+
+def _assert_same_rollout(a, b):
+    np.testing.assert_allclose(a[0], b[0], rtol=0, atol=0)
+    np.testing.assert_allclose(a[1], b[1], rtol=0, atol=0)
+    assert a[2] == b[2]
+    assert a[3] == b[3]
+
+
+MEMO_PARAMS = QSWParams(p=0.5, gamma=1.0, dt=0.05, t_final=2.0)
+
+
+@st.composite
+def maze_and_episodes(draw):
+    """A 2x2-4x4 perfect maze and episodes over a small action alphabet.
+
+    The alphabet holds the no-op, the toggle that cuts off a leaf of the
+    tree, and two more grid links, so episodes share prefixes often and
+    some isolate a node.
+    """
+    maze = generate_perfect_maze(draw(st.integers(2, 4)), draw(st.integers(2, 4)), seed=draw(st.integers(0, 2**16)))
+    env = MazeEnv(maze, MEMO_PARAMS, action_period=0.5, max_actions=3)
+    leaf = int(np.flatnonzero(degrees(maze) == 1)[0])
+    leaf_edge = next(e for e in maze.edges() if leaf in e)
+    others = draw(st.lists(st.sampled_from(env.action_space[1:]), min_size=2, max_size=2))
+    alphabet = [Action.noop(), Action.toggle(*leaf_edge), *others]
+    episode = st.lists(st.sampled_from(alphabet), min_size=env.max_actions, max_size=env.max_actions)
+    return env, draw(st.lists(episode, min_size=2, max_size=6))
+
+
+class TestMemo:
+    @settings(max_examples=40, deadline=None)
+    @given(case=maze_and_episodes())
+    def test_reused_env_matches_fresh_env(self, case):
+        env, episodes = case
+        for actions in episodes:
+            fresh = MazeEnv(env.base_maze, env.params, env.action_period, env.max_actions)
+            _assert_same_rollout(_rollout(env, actions), _rollout(fresh, actions))
+
+    def test_train_unchanged_when_memo_cleared_every_episode(self, env, monkeypatch):
+        policy, curve = train(env, QLearningConfig(), episodes=12, seed=4)
+        monkeypatch.setattr(rlmaze, "MEMO_BUDGET_BYTES", 0)
+        fresh = MazeEnv(env.base_maze, PARAMS, env.action_period, env.max_actions)
+        policy_0, curve_0 = train(fresh, QLearningConfig(), episodes=12, seed=4)
+        assert len(fresh._memo) <= fresh.max_actions  # emptied at each reset
+        assert policy_0.table == policy.table
+        np.testing.assert_array_equal(curve_0.rewards, curve.rewards)
+        np.testing.assert_array_equal(curve_0.running_avg, curve.running_avg)
+
+    def test_failed_step_commits_nothing(self, env, monkeypatch):
+        actions = [Action.noop(), Action.toggle(*env.base_maze.edges()[0]), Action.noop(), Action.noop()]
+        expected = _rollout(MazeEnv(env.base_maze, PARAMS, env.action_period, env.max_actions), actions)
+        propagate = rlmaze.propagate
+        armed = []
+
+        def flaky_propagate(*args, **kwargs):
+            if armed:
+                armed.pop()
+                raise IntegrationError("injected failure")
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(rlmaze, "propagate", flaky_propagate)
+        env.reset()
+        rewards = [env.step(actions[0])[1]]
+        for failing_call, error in (
+            (lambda: env.step(Action((0, 8))), ValueError),  # not grid-adjacent
+            (lambda: (armed.append(True), env.step(actions[1])), IntegrationError),
+        ):
+            prefix, memo, key, rho = env._prefix, dict(env._memo), env.state_key(), env._rho
+            with pytest.raises(error):
+                failing_call()
+            assert env._prefix == prefix and env.state_key() == key and env._rho is rho
+            assert env._memo.keys() == memo.keys()
+            assert all(env._memo[k] is v for k, v in memo.items())
+        assert not armed
+        rewards += [env.step(action)[1] for action in actions[1:]]
+        np.testing.assert_allclose(rewards, expected[0], rtol=0, atol=0)
+        assert env.current_p_sink() == expected[3]
+        _assert_same_rollout(_rollout(env, actions), expected)
 
 
 class TestTrain:
