@@ -144,12 +144,16 @@ def _dataset_from(args) -> embedding.LabeledDataset1D:
     return embedding.synth_dataset(args.n_per_class, args.data_seed)
 
 
+def _dataset_label(args) -> str:
+    return args.dataset or f"synthetic(n_per_class={args.n_per_class}, data_seed={args.data_seed})"
+
+
 def cmd_embed_train(args) -> int:
     dataset = _dataset_from(args)
     config = embedding.TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
     model, curve, theta_log = embedding.train_embedding(dataset, config)
     file_config = {
-        "dataset": args.dataset or f"synthetic(n_per_class={args.n_per_class}, data_seed={args.data_seed})",
+        "dataset": _dataset_label(args),
         "lr": args.lr,
         "epochs": args.epochs,
         "seed": args.seed,
@@ -177,7 +181,7 @@ def cmd_embed_gram(args) -> int:
         raise ValueError("--mode sampled requires --seed")
     g = embedding.gram(dataset, model, mode=args.mode, shots=args.shots, seed=args.seed)
     file_config = {
-        "dataset": args.dataset or f"synthetic(n_per_class={args.n_per_class}, data_seed={args.data_seed})",
+        "dataset": _dataset_label(args),
         "thetas": ",".join(repr(t) for t in model.thetas),
         "mode": args.mode,
         "shots": args.shots if args.mode == "sampled" else "n/a",

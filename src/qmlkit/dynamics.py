@@ -38,7 +38,7 @@ instead of renormalizing.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,34 +100,22 @@ class QSWParams:
 
 @dataclass(frozen=True, eq=False)
 class LindbladModel:
-    """Generator data for one maze topology, in the (K, G) form above.
+    """Generator of one maze topology in the (K, G) form above.
 
-    ``hop_rates[i, j]`` is the classical hopping rate A_ij / d_j^2, the
-    squared coefficient of the jump operator (A_ij / d_j) |i><j|, with a
-    zero row and column for the sink. ``sink_rate`` is Gamma, except in
-    the validation variant from :meth:`without_sink` where it is 0.
-    ``K`` and ``G`` are derived from the other fields and read-only.
+    ``K`` (complex) and ``G`` (real) are read-only and span the maze
+    cells plus the sink, which is the last basis state. The validation
+    variant from :meth:`without_sink` has Gamma left out of both.
     """
 
-    dim: int
-    hamiltonian: np.ndarray
-    hop_rates: np.ndarray
+    K: np.ndarray
+    G: np.ndarray
     sink_exit: int
     entrance: int
     params: QSWParams
-    sink_rate: float
-    K: np.ndarray = field(init=False, repr=False)
-    G: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        p = self.params.p
-        gain = p * self.hop_rates
-        gain[self.sink, self.sink_exit] = 2.0 * self.sink_rate
-        k = (-1j * (1.0 - p)) * self.hamiltonian - np.diag(0.5 * gain.sum(axis=0))
-        gain.flags.writeable = False
-        k.flags.writeable = False
-        object.__setattr__(self, "K", k)
-        object.__setattr__(self, "G", gain)
+    @property
+    def dim(self) -> int:
+        return self.K.shape[0]
 
     @property
     def sink(self) -> int:
@@ -136,7 +124,19 @@ class LindbladModel:
 
     def without_sink(self) -> "LindbladModel":
         """The same model with Gamma left out of K and G (validation mode)."""
-        return replace(self, sink_rate=0.0)
+        coherent = self.K + np.diag(0.5 * self.G.sum(axis=0))
+        gain = self.G.copy()
+        gain[self.sink, self.sink_exit] = 0.0
+        k, g = _generator(coherent, gain)
+        return replace(self, K=k, G=g)
+
+
+def _generator(coherent: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (K, G) with K = coherent - diag(column sums of G) / 2."""
+    k = coherent - np.diag(0.5 * gain.sum(axis=0))
+    k.flags.writeable = False
+    gain.flags.writeable = False
+    return k, gain
 
 
 def build_model(maze: MazeGraph, params: QSWParams) -> LindbladModel:
@@ -148,22 +148,14 @@ def build_model(maze: MazeGraph, params: QSWParams) -> LindbladModel:
     so no hopping rates.
     """
     n = maze.n_nodes
-    dim = n + 1
-    ham = np.zeros((dim, dim), dtype=complex)
+    p = params.p
+    ham = np.zeros((n + 1, n + 1), dtype=complex)
     ham[:n, :n] = maze.adjacency
-    ham.flags.writeable = False
-    rates = np.zeros((dim, dim))
-    rates[:n, :n] = maze.adjacency / np.maximum(degrees(maze), 1) ** 2
-    rates.flags.writeable = False
-    return LindbladModel(
-        dim=dim,
-        hamiltonian=ham,
-        hop_rates=rates,
-        sink_exit=maze.exit,
-        entrance=maze.entrance,
-        params=params,
-        sink_rate=params.gamma,
-    )
+    gain = np.zeros((n + 1, n + 1))
+    gain[:n, :n] = p * (maze.adjacency / np.maximum(degrees(maze), 1) ** 2)
+    gain[n, maze.exit] = 2.0 * params.gamma
+    k, g = _generator((-1j * (1.0 - p)) * ham, gain)
+    return LindbladModel(K=k, G=g, sink_exit=maze.exit, entrance=maze.entrance, params=params)
 
 
 def initial_state(model: LindbladModel) -> DensityMatrix:
@@ -207,21 +199,23 @@ def _rk4_step(rho: np.ndarray, dt: float, model: LindbladModel) -> np.ndarray:
 
 
 def propagate(
-    rho: np.ndarray,
+    state: DensityMatrix,
     model: LindbladModel,
     n_steps: int,
     first_step: int = 0,
     exit_trace: np.ndarray | None = None,
-) -> np.ndarray:
-    """Advance a raw state matrix by n_steps RK4 steps.
+) -> DensityMatrix:
+    """Advance a state by n_steps RK4 steps and validate the result.
 
-    Checks trace conservation after every step; ``first_step`` only
-    offsets the step index reported on failure. When ``exit_trace`` is
-    given (length n_steps) it receives the exit-node occupation after
-    each step.
+    Checks trace conservation after every step and validates the final
+    state as a :class:`DensityMatrix`; any failure raises
+    :class:`IntegrationError` with the step index, which ``first_step``
+    offsets. When ``exit_trace`` is given (length n_steps) it receives
+    the exit-node occupation after each step.
     """
     dt = model.params.dt
     n = model.sink_exit
+    rho = state.matrix
     for k in range(n_steps):
         rho = _rk4_step(rho, dt, model)
         tr = rho.trace().real
@@ -236,7 +230,11 @@ def propagate(
             )
         if exit_trace is not None:
             exit_trace[k] = rho[n, n].real
-    return rho
+    last = first_step + n_steps
+    try:
+        return DensityMatrix(rho)
+    except ValueError as exc:
+        raise IntegrationError(f"invalid state at step {last}: {exc}", step=last) from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,8 +261,8 @@ class Trajectory:
 def evolve(rho0: DensityMatrix, model: LindbladModel, sample_every: int = 10) -> Trajectory:
     """Integrate from t = 0 to t_final, sampling every ``sample_every`` steps.
 
-    Snapshots (including the initial and final state) are re-validated
-    as density matrices; a failed invariant is reported as an
+    Snapshots (including the final state) are the density matrices
+    :func:`propagate` validated, so a failed invariant surfaces as an
     :class:`IntegrationError`. The sink population series must come out
     non-decreasing, anything else is likewise an integration failure.
     """
@@ -277,21 +275,17 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, sample_every: int = 10) ->
     sink = model.sink
     n = model.sink_exit
 
-    rho = rho0.matrix.astype(complex)
     exit_occ = np.empty(n_steps + 1)
-    exit_occ[0] = rho[n, n].real
+    exit_occ[0] = rho0.matrix[n, n].real
     snapshots = [rho0]
     sample_steps = [0]
 
     done = 0
     while done < n_steps:
         chunk = min(sample_every, n_steps - done)
-        rho = propagate(rho, model, chunk, first_step=done, exit_trace=exit_occ[done + 1 : done + chunk + 1])
+        exit_trace = exit_occ[done + 1 : done + chunk + 1]
+        snapshots.append(propagate(snapshots[-1], model, chunk, first_step=done, exit_trace=exit_trace))
         done += chunk
-        try:
-            snapshots.append(DensityMatrix(rho))
-        except ValueError as exc:
-            raise IntegrationError(f"invalid state at step {done}: {exc}", step=done) from exc
         sample_steps.append(done)
 
     dt = params.dt
@@ -312,7 +306,7 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, sample_every: int = 10) ->
 
 
 def p_sink_from_integral(traj: Trajectory, model: LindbladModel) -> np.ndarray:
-    """Escape probability as 2*Gamma * integral of rho_nn dt'.
+    """Escape probability as 2*Gamma * integral of rho_nn dt', with 2*Gamma = G[S, n].
 
     Trapezoidal rule on the dense per-step record, evaluated at the
     snapshot times of ``traj``. Agrees with the direct sink read-out
@@ -323,7 +317,7 @@ def p_sink_from_integral(traj: Trajectory, model: LindbladModel) -> np.ndarray:
     steps = np.diff(traj.step_times)
     increments = 0.5 * steps * (traj.exit_occupation[1:] + traj.exit_occupation[:-1])
     cumulative = np.concatenate([[0.0], np.cumsum(increments)])
-    return 2.0 * model.sink_rate * cumulative[traj.sample_steps]
+    return model.G[model.sink, model.sink_exit] * cumulative[traj.sample_steps]
 
 
 def write_trajectory_csv(traj: Trajectory, path, config: dict | None = None) -> None:

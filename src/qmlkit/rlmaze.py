@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import QSWParams, build_model, propagate, whole_steps
+from .dynamics import QSWParams, build_model, initial_state, propagate, whole_steps
 from .header import config_header
 from .maze import MazeGraph, grid_links, toggle_link
 from .states import DensityMatrix
@@ -101,11 +101,11 @@ class MazeEnv:
 
     The state after an interval depends only on the actions taken since
     reset(), so the environment keeps an exact memo from that action
-    prefix (a tuple of action links, None for a no-op) to the read-only
-    post-interval state. A step whose prefix is in the memo takes the
-    stored state instead of integrating; results are bit-identical
-    either way. reset() empties the memo once it holds more than
-    ``MEMO_BUDGET_BYTES``.
+    prefix (a tuple of action links, None for a no-op) to the
+    post-interval :class:`DensityMatrix` that ``propagate`` validated.
+    A step whose prefix is in the memo takes the stored state instead of
+    integrating; results are bit-identical either way. reset() empties
+    the memo once it holds more than ``MEMO_BUDGET_BYTES``.
     """
 
     def __init__(self, base_maze: MazeGraph, params: QSWParams, action_period: float, max_actions: int):
@@ -126,15 +126,12 @@ class MazeEnv:
         )
         self._legal_links = frozenset(a.link for a in self.action_space if not a.is_noop)
         self._base_model = build_model(base_maze, params)
-        rho0 = np.zeros((self._base_model.dim, self._base_model.dim), dtype=complex)
-        rho0[self._base_model.entrance, self._base_model.entrance] = 1.0
-        rho0.flags.writeable = False
-        self._rho0 = rho0
-        self._memo: dict[tuple, np.ndarray] = {}
+        self._state0 = initial_state(self._base_model)
+        self._memo: dict[tuple, DensityMatrix] = {}
         self._memo_bytes = 0
         self._maze = None
         self._model = None  # None while a toggle has left it stale
-        self._rho = None
+        self._state = None
         self._edges = None
         self._prefix: tuple = ()  # action links since reset(); its length is the step index
         self._done = True
@@ -146,7 +143,7 @@ class MazeEnv:
             self._memo_bytes = 0
         self._maze = self.base_maze
         self._model = self._base_model
-        self._rho = self._rho0
+        self._state = self._state0
         self._prefix = ()
         self._done = False
         return self._observation()
@@ -180,16 +177,13 @@ class MazeEnv:
                 raise ValueError(f"{field}: step-0 edge set is not this maze's")
 
     def current_p_sink(self) -> float:
-        return float(self._rho[-1, -1].real)
+        return float(self._state.matrix[-1, -1].real)
 
     def _observation(self) -> Observation:
-        # Snapshot validation: the state must be a physical density matrix
-        # after every step, across arbitrary topology changes.
-        state = DensityMatrix(self._rho)
         self._edges = tuple(self._maze.edges())
         return Observation(
             step_index=len(self._prefix),
-            populations=state.populations(),
+            populations=self._state.populations(),
             adjacency_bits=self._edges,
         )
 
@@ -209,18 +203,17 @@ class MazeEnv:
             model = None
         prefix = self._prefix + (action.link,)
         done = len(prefix) == self.max_actions
-        rho = self._memo.get(prefix)
-        if rho is None:
+        state = self._memo.get(prefix)
+        if state is None:
             if model is None:
                 model = build_model(maze, self.params)
             first = len(self._prefix) * self.steps_per_interval
             n_steps = self.params.n_steps - first if done else self.steps_per_interval
-            rho = propagate(self._rho, model, n_steps, first_step=first)
-            rho.flags.writeable = False
-            self._memo[prefix] = rho
-            self._memo_bytes += rho.nbytes
+            state = propagate(self._state, model, n_steps, first_step=first)
+            self._memo[prefix] = state
+            self._memo_bytes += state.matrix.nbytes
         before = self.current_p_sink()
-        self._maze, self._model, self._rho = maze, model, rho
+        self._maze, self._model, self._state = maze, model, state
         self._prefix = prefix
         self._done = done
         return self._observation(), self.current_p_sink() - before, done

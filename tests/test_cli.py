@@ -45,6 +45,11 @@ TWO_NODE_MAZE = (
 )
 
 
+UNSTABLE_RL_FLAGS = (
+    "--p", 0.0, "--dt", 0.1, "--t-final", 100.0, "--action-period", 10.0, "--max-actions", 8,
+)
+
+
 @pytest.fixture
 def two_node_maze(tmp_path):
     path = tmp_path / "maze2.json"
@@ -114,12 +119,15 @@ class TestQswRun:
         assert result.returncode == 2
 
     def test_unstable_step_exits_3(self, tmp_path, small_maze):
-        result = run_cli(
-            "qsw-run", "--maze", small_maze, "--p", 0.0, "--dt", 1.5, "--t-final", 30.0,
-            "-o", tmp_path / "t.csv",
-        )
-        assert result.returncode == 3
-        assert "integration failure" in result.stderr
+        for args in (
+            ("qsw-run", "--p", 0.0, "--dt", 1.5, "--t-final", 30.0, "-o", "t.csv"),
+            # passes the per-step trace check, fails positivity at step 100
+            ("rl-train", *UNSTABLE_RL_FLAGS, "--episodes", 2, "--seed", 0, "-o", "c.csv"),
+            ("rl-eval", *UNSTABLE_RL_FLAGS),
+        ):
+            result = run_cli(args[0], "--maze", small_maze, *args[1:], cwd=tmp_path)
+            assert result.returncode == 3, args[0]
+            assert "integration failure" in result.stderr, args[0]
 
     def test_states_json_export(self, tmp_path, two_node_maze):
         out, states = tmp_path / "t.csv", tmp_path / "states.json"

@@ -66,12 +66,12 @@ class TestBuildModel:
         assert np.count_nonzero(model.G[:36, :36]) == 70  # two ordered pairs per tree edge
 
     def test_hamiltonian_structure(self):
+        # the coherent part -i(1-p)H is K's whole imaginary part
         maze = generate_perfect_maze(3, 3, seed=0)
         model = build_model(maze, QSWParams(p=0.5))
-        np.testing.assert_array_equal(model.hamiltonian[:9, :9].real, maze.adjacency)
-        assert np.all(model.hamiltonian[9, :] == 0)
-        assert np.all(model.hamiltonian[:, 9] == 0)
-        assert np.all(model.hamiltonian.imag == 0)
+        padded = np.zeros((10, 10))
+        padded[:9, :9] = maze.adjacency
+        np.testing.assert_array_equal(model.K.imag, -0.5 * padded)
 
     def test_isolated_node_contributes_no_jumps(self):
         maze = path_maze(3)
@@ -85,13 +85,15 @@ class TestBuildModel:
         # K = -i(1-p) H - (p/2) diag(loss) - Gamma |n><n|, loss_j = 1/d_j
         maze = path_maze(3)  # degrees 1, 2, 1; exit is node 2
         model = build_model(maze, QSWParams(p=0.3, gamma=0.7))
+        ham = np.zeros((4, 4))
+        ham[:3, :3] = maze.adjacency
         damping = 0.15 * np.array([1.0, 0.5, 1.0, 0.0])
         damping[2] += 0.7
-        np.testing.assert_allclose(model.K, -0.7j * model.hamiltonian - np.diag(damping), atol=1e-15)
+        np.testing.assert_allclose(model.K, -0.7j * ham - np.diag(damping), atol=1e-15)
         assert model.G[3, 2] == 2 * 0.7
         plain = model.without_sink()
         damping[2] -= 0.7
-        np.testing.assert_allclose(plain.K, -0.7j * model.hamiltonian - np.diag(damping), atol=1e-15)
+        np.testing.assert_allclose(plain.K, -0.7j * ham - np.diag(damping), atol=1e-15)
         assert not plain.G[3].any()
         np.testing.assert_array_equal(plain.G[:3, :3], model.G[:3, :3])
 

@@ -239,10 +239,10 @@ class TestMemo:
             (lambda: env.step(Action((0, 8))), ValueError),  # not grid-adjacent
             (lambda: (armed.append(True), env.step(actions[1])), IntegrationError),
         ):
-            prefix, memo, key, rho = env._prefix, dict(env._memo), env.state_key(), env._rho
+            prefix, memo, key, state = env._prefix, dict(env._memo), env.state_key(), env._state
             with pytest.raises(error):
                 failing_call()
-            assert env._prefix == prefix and env.state_key() == key and env._rho is rho
+            assert env._prefix == prefix and env.state_key() == key and env._state is state
             assert env._memo.keys() == memo.keys()
             assert all(env._memo[k] is v for k, v in memo.items())
         assert not armed
@@ -250,6 +250,17 @@ class TestMemo:
         np.testing.assert_allclose(rewards, expected[0], rtol=0, atol=0)
         assert env.current_p_sink() == expected[3]
         _assert_same_rollout(_rollout(env, actions), expected)
+
+    def test_invalid_state_raises_before_commit(self):
+        # passes the per-step trace check, fails positivity at step 100
+        params = QSWParams(p=0.0, gamma=1.0, dt=0.1, t_final=100.0)
+        env = MazeEnv(generate_perfect_maze(3, 3, seed=2), params, action_period=10.0, max_actions=8)
+        env.reset()
+        key = env.state_key()
+        with pytest.raises(IntegrationError) as err:
+            env.step(Action.noop())
+        assert err.value.step == 100
+        assert env._prefix == () and env.state_key() == key and not env._memo
 
 
 class TestTrain:
