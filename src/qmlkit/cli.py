@@ -109,8 +109,9 @@ def cmd_rl_train(args) -> int:
     }
     rlmaze.write_curve_csv(curve, args.output, file_config)
     if args.policy_out:
+        policy.config = file_config
         with open(args.policy_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(policy.to_json(file_config))
+            fh.write(policy.to_json())
     return 0
 
 
@@ -120,7 +121,9 @@ def cmd_rl_eval(args) -> int:
         with open(args.policy, "r", encoding="utf-8") as fh:
             policy = rlmaze.Policy.from_json(fh.read())
         for name, value in _env_config(args).items():
-            if name != "maze" and policy.config.get(name, value) != value:
+            if name != "maze" and name not in policy.config:
+                raise ValueError(f"config.{name}: missing")
+            if name != "maze" and policy.config[name] != value:
                 raise ValueError(f"config.{name}: policy was trained with {policy.config[name]!r}, this run uses {value!r}")
         env.check_policy(policy)
     else:

@@ -209,9 +209,9 @@ def propagate(
 
     Checks trace conservation after every step and validates the final
     state as a :class:`DensityMatrix`; any failure raises
-    :class:`IntegrationError` with the step index, which ``first_step``
-    offsets. When ``exit_trace`` is given (length n_steps) it receives
-    the exit-node occupation after each step.
+    :class:`IntegrationError` with the index of the first bad step,
+    offset by ``first_step``. When ``exit_trace`` is given (length
+    n_steps) it receives the exit-node occupation after each step.
     """
     dt = model.params.dt
     n = model.sink_exit
@@ -234,6 +234,8 @@ def propagate(
     try:
         return DensityMatrix(rho)
     except ValueError as exc:
+        for k in range(first_step, last - 1):  # failure path: validate every step to find the first bad one
+            state = propagate(state, model, 1, first_step=k)
         raise IntegrationError(f"invalid state at step {last}: {exc}", step=last) from exc
 
 

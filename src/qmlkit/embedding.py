@@ -162,40 +162,42 @@ class GramMatrix:
         return self.matrix.shape[0]
 
 
-def _points_of(dataset) -> np.ndarray:
-    return dataset.points if isinstance(dataset, LabeledDataset1D) else np.asarray(dataset, dtype=float)
+def _overlap_table(states_row: np.ndarray, states_col: np.ndarray) -> np.ndarray:
+    return np.abs(states_row.conj() @ states_col.T) ** 2
 
 
 def gram(dataset, model: EmbeddingModel, mode: str = "exact", shots: int = 100, seed=None) -> GramMatrix:
     """Pairwise overlap matrix of the embedded points.
 
     ``mode="exact"`` computes |<x_i|x_j>|^2 analytically (unit diagonal
-    by construction); ``mode="sampled"`` runs a seeded SWAP test per
-    unordered pair, spawning one child seed per (i, j) from the master
-    seed so the result does not depend on evaluation order.
+    by construction). ``mode="sampled"`` runs :func:`swap_test` on each
+    pair i <= j; row i draws its counts for j = i..n-1 in order from one
+    stream, ``SeedSequence([seed, i])``. Entry (i, j) depends only on
+    seed, shots, i and the overlaps (i, i..j), not on (seed, i, j) alone,
+    since numpy's binomial draws use a variable share of the stream. Rows
+    are independent, and the leading k x k block of an n-point matrix
+    equals the k-point matrix bit for bit.
     """
-    points = _points_of(dataset)
-    n = points.size
-    if n == 0:
+    points = dataset.points if isinstance(dataset, LabeledDataset1D) else np.asarray(dataset, dtype=float)
+    if points.size == 0:
         raise ValueError("dataset must be non-empty")
     states = _embed_batch(points, model.thetas)
+    overlap = np.minimum(1.0, _overlap_table(states, states))
     if mode == "exact":
-        inner = states.conj() @ states.T
-        m = np.minimum(1.0, np.abs(inner) ** 2)
-        m = 0.5 * (m + m.T)
+        m = 0.5 * (overlap + overlap.T)
         np.fill_diagonal(m, 1.0)
         return GramMatrix(m)
     if mode == "sampled":
         if seed is None:
             raise ValueError("sampled mode requires a seed")
-        pure = [PureState(s) for s in states]
-        m = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                pair_seed = np.random.SeedSequence([int(seed), i, j])
-                value = swap_test(pure[i], pure[j], shots, pair_seed)
-                m[i, j] = m[j, i] = value
-        return GramMatrix(m)
+        if shots < 1:
+            raise ValueError("shots must be >= 1")
+        m = np.zeros_like(overlap)
+        for i in range(points.size):
+            rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
+            counts = rng.binomial(shots, 0.5 * (1.0 + overlap[i, i:]))
+            m[i, i:] = np.maximum(0.0, 2.0 * counts / shots - 1.0)
+        return GramMatrix(m + np.triu(m, 1).T)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -220,10 +222,6 @@ def _loss_from_gram(m: np.ndarray, labels) -> float:
 def loss(model: EmbeddingModel, dataset: LabeledDataset1D) -> float:
     """Mean same-class (1 - overlap) plus mean cross-class overlap."""
     return _loss_from_gram(gram(dataset, model).matrix, dataset.labels)
-
-
-def _overlap_table(states_row: np.ndarray, states_col: np.ndarray) -> np.ndarray:
-    return np.abs(states_row.conj() @ states_col.T) ** 2
 
 
 def gradient(model: EmbeddingModel, dataset: LabeledDataset1D) -> np.ndarray:

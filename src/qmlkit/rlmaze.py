@@ -27,7 +27,6 @@ from .header import config_header
 from .maze import MazeGraph, grid_links, toggle_link
 from .states import DensityMatrix
 
-POPULATION_FLOOR = -1e-8
 # Stored bytes of memoized states above which reset() empties the memo.
 MEMO_BUDGET_BYTES = 256 * 2**20
 
@@ -70,19 +69,14 @@ class Action:
 
 @dataclass(frozen=True, eq=False)
 class Observation:
-    """What the agent sees: step count, populations, current topology."""
+    """What the agent sees: step count, populations of the validated state, current topology."""
 
     step_index: int
     populations: np.ndarray
     adjacency_bits: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pops = np.asarray(self.populations, dtype=float)
-        if np.min(pops) < POPULATION_FLOOR:
-            raise ValueError(f"negative population {np.min(pops)}")
-        if pops.sum() > 1.0 + 1e-6:
-            raise ValueError(f"populations sum to {pops.sum()} > 1")
-        pops = pops.copy()
+        pops = np.array(self.populations, dtype=float)
         pops.flags.writeable = False
         object.__setattr__(self, "populations", pops)
 
@@ -248,9 +242,9 @@ class Policy:
             raise ValueError("edges must be i-j pairs")
         return (int(step), pairs)
 
-    def to_json(self, config: dict | None = None) -> str:
+    def to_json(self) -> str:
         doc = {
-            "config": {} if config is None else config,
+            "config": self.config,
             "policy": {self._key_str(k): a.label for k, a in self.table.items()},
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"

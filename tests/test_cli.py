@@ -119,15 +119,19 @@ class TestQswRun:
         assert result.returncode == 2
 
     def test_unstable_step_exits_3(self, tmp_path, small_maze):
-        for args in (
-            ("qsw-run", "--p", 0.0, "--dt", 1.5, "--t-final", 30.0, "-o", "t.csv"),
-            # passes the per-step trace check, fails positivity at step 100
-            ("rl-train", *UNSTABLE_RL_FLAGS, "--episodes", 2, "--seed", 0, "-o", "c.csv"),
-            ("rl-eval", *UNSTABLE_RL_FLAGS),
+        for args, step in (
+            (("qsw-run", "--p", 0.0, "--dt", 1.5, "--t-final", 30.0, "-o", "t.csv"), None),
+            # pass the per-step trace check and fail positivity at the first step,
+            # whether a span is 10 steps (qsw-run snapshots) or 100 (an action interval)
+            (("qsw-run", *UNSTABLE_RL_FLAGS[:6], "-o", "t.csv"), 1),
+            (("rl-train", *UNSTABLE_RL_FLAGS, "--episodes", 2, "--seed", 0, "-o", "c.csv"), 1),
+            (("rl-eval", *UNSTABLE_RL_FLAGS), 1),
         ):
             result = run_cli(args[0], "--maze", small_maze, *args[1:], cwd=tmp_path)
             assert result.returncode == 3, args[0]
             assert "integration failure" in result.stderr, args[0]
+            if step is not None:
+                assert f"invalid state at step {step}:" in result.stderr, args[0]
 
     def test_states_json_export(self, tmp_path, two_node_maze):
         out, states = tmp_path / "t.csv", tmp_path / "states.json"
@@ -278,6 +282,16 @@ class TestEmbedCommands:
         )
         assert result.returncode == 2
 
+    def test_gram_sampled_zero_shots_exits_2(self, tmp_path):
+        out = tmp_path / "g.csv"
+        result = run_cli(
+            "embed-gram", "--n-per-class", 3, "--data-seed", 0,
+            "--mode", "sampled", "--shots", 0, "--seed", 1, "-o", out,
+        )
+        assert result.returncode == 2
+        assert "shots" in result.stderr
+        assert not out.exists()
+
     def test_dataset_file_round_trip(self, tmp_path):
         data = tmp_path / "data.json"
         log = tmp_path / "log.csv"
@@ -318,6 +332,21 @@ class TestMalformedInputFiles:
         assert result.stdout == ""
         result = run_cli("rl-eval", "--maze", small_maze, "--p", 0.7, *RL_FLAGS[2:], "--policy", policy)
         self.check_exit_2(result, "config.p: policy was trained with 0.8, this run uses 0.7")
+
+    def test_policy_without_run_config(self, tmp_path, small_maze):
+        policy = tmp_path / "policy.json"
+        result = run_cli(
+            "rl-train", "--maze", small_maze, *RL_FLAGS,
+            "--episodes", 2, "--seed", 0, "-o", tmp_path / "curve.csv", "--policy-out", policy,
+        )
+        assert result.returncode == 0
+        doc = json.loads(policy.read_text())
+        partial = {k: v for k, v in doc["config"].items() if k != "max_actions"}
+        for config, field in (({}, "config.p: missing"), (partial, "config.max_actions: missing")):
+            policy.write_text(json.dumps(doc | {"config": config}))
+            result = run_cli("rl-eval", "--maze", small_maze, *RL_FLAGS, "--policy", policy)
+            self.check_exit_2(result, field)
+            assert result.stdout == ""
 
     def test_model_without_thetas(self, tmp_path):
         bad = tmp_path / "model.json"

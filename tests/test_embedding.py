@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from qmlkit.embedding import (
@@ -189,6 +191,48 @@ class TestGram:
         ds = synth_dataset(3, seed=2)
         g = gram(ds, ZERO_MODEL, mode="sampled", shots=100, seed=7).matrix
         np.testing.assert_allclose(np.round(g * 50) / 50, g, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        thetas=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+        shots=st.integers(1, 200),
+    )
+    def test_sampled_leading_block_matches_smaller_dataset(self, n, data, seed, thetas, shots):
+        k = data.draw(st.integers(1, n - 1), label="k")
+        points = np.random.default_rng(seed).uniform(-3.0, 3.0, size=n)
+        model = EmbeddingModel(thetas)
+        full = gram(points, model, mode="sampled", shots=shots, seed=seed).matrix
+        head = gram(points[:k], model, mode="sampled", shots=shots, seed=seed).matrix
+        np.testing.assert_array_equal(full[:k, :k], head)
+
+    def test_sampled_rows_match_swap_test_loop(self):
+        # reference: one swap_test per pair, drawing in order from row i's stream
+        ds = synth_dataset(4, seed=6)
+        model = EmbeddingModel((0.7, -1.1, 0.4))
+        g = gram(ds, model, mode="sampled", shots=100, seed=9).matrix
+        states = [embed(x, model) for x in ds.points]
+        for i in range(len(ds)):
+            rng = np.random.default_rng(np.random.SeedSequence([9, i]))
+            for j in range(i, len(ds)):
+                assert g[i, j] == g[j, i] == swap_test(states[i], states[j], 100, rng)
+
+    def test_sampled_block_ignores_later_points(self):
+        ds = synth_dataset(10, seed=4)
+        model = EmbeddingModel((0.7, -1.1, 0.4))
+        k = 8
+        moved = ds.points.copy()
+        moved[k:] += np.linspace(0.3, 1.9, moved.size - k)
+        a = gram(ds, model, mode="sampled", shots=100, seed=5).matrix
+        b = gram(moved, model, mode="sampled", shots=100, seed=5).matrix
+        np.testing.assert_array_equal(a[:k, :k], b[:k, :k])
+        assert not np.array_equal(a, b)
+
+    def test_sampled_rejects_zero_shots(self):
+        with pytest.raises(ValueError, match="shots"):
+            gram(synth_dataset(2, seed=0), ZERO_MODEL, mode="sampled", shots=0, seed=0)
 
     def test_sampled_requires_seed(self):
         with pytest.raises(ValueError):

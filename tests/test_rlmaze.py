@@ -252,14 +252,15 @@ class TestMemo:
         _assert_same_rollout(_rollout(env, actions), expected)
 
     def test_invalid_state_raises_before_commit(self):
-        # passes the per-step trace check, fails positivity at step 100
+        # passes the per-step trace check over the 100-step interval; the
+        # first state that fails positivity is the one after step 1
         params = QSWParams(p=0.0, gamma=1.0, dt=0.1, t_final=100.0)
         env = MazeEnv(generate_perfect_maze(3, 3, seed=2), params, action_period=10.0, max_actions=8)
         env.reset()
         key = env.state_key()
         with pytest.raises(IntegrationError) as err:
             env.step(Action.noop())
-        assert err.value.step == 100
+        assert err.value.step == 1
         assert env._prefix == () and env.state_key() == key and not env._memo
 
 
@@ -305,8 +306,10 @@ class TestEvaluate:
 class TestPolicyJson:
     def test_round_trip(self, env):
         policy, _ = train(env, QLearningConfig(), episodes=3, seed=5)
-        restored = Policy.from_json(policy.to_json(config={"note": "test"}))
+        policy.config = {"note": "test"}
+        restored = Policy.from_json(policy.to_json())
         assert restored.table == policy.table
+        assert restored.config == {"note": "test"}
 
     def test_check_policy_rejects_unreachable_keys(self, env):
         policy, _ = train(env, QLearningConfig(), episodes=3, seed=5)
