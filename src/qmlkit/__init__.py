@@ -47,7 +47,6 @@ from .rlmaze import (
     EpisodeRecord,
     LearningCurve,
     MazeEnv,
-    Observation,
     Policy,
     QLearningConfig,
     evaluate,
@@ -69,7 +68,6 @@ __all__ = [
     "MazeEnv",
     "MazeFormatError",
     "MazeGraph",
-    "Observation",
     "Policy",
     "PureState",
     "QLearningConfig",

@@ -329,7 +329,7 @@ def write_trajectory_csv(traj: Trajectory, path, config: dict | None = None) -> 
         fh.write(config_header(config))
         fh.write("t,p_sink," + ",".join(f"pop_{i}" for i in range(n_pop)) + "\n")
         for t, p_sink, state in zip(traj.times, traj.p_sink_series, traj.states):
-            pops = ",".join(repr(float(v)) for v in state.populations())
+            pops = ",".join(map(repr, state.populations.tolist()))
             fh.write(f"{float(t)!r},{float(p_sink)!r},{pops}\n")
 
 

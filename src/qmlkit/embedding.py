@@ -166,7 +166,7 @@ def _overlap_table(states_row: np.ndarray, states_col: np.ndarray) -> np.ndarray
     return np.abs(states_row.conj() @ states_col.T) ** 2
 
 
-def gram(dataset, model: EmbeddingModel, mode: str = "exact", shots: int = 100, seed=None) -> GramMatrix:
+def gram(dataset, model: EmbeddingModel, mode: str = "exact", shots: int = 100, seed: int | None = None) -> GramMatrix:
     """Pairwise overlap matrix of the embedded points.
 
     ``mode="exact"`` computes |<x_i|x_j>|^2 analytically (unit diagonal
@@ -188,8 +188,9 @@ def gram(dataset, model: EmbeddingModel, mode: str = "exact", shots: int = 100, 
         np.fill_diagonal(m, 1.0)
         return GramMatrix(m)
     if mode == "sampled":
-        if seed is None:
-            raise ValueError("sampled mode requires a seed")
+        for name, value in (("shots", shots), ("seed", seed)):
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if shots < 1:
             raise ValueError("shots must be >= 1")
         m = np.zeros_like(overlap)
@@ -297,7 +298,7 @@ def write_gram_csv(g: GramMatrix, path, config: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(config_header(config))
         for row in g.matrix:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def write_training_log(curve: np.ndarray, theta_log: np.ndarray, path, config: dict | None = None) -> None:

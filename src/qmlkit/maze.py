@@ -77,21 +77,22 @@ class MazeGraph:
         adj = np.asarray(self.adjacency)
         if adj.shape != (n, n):
             raise ValueError(f"adjacency shape {adj.shape} does not match {n} cells")
+        if not np.all((adj == 0) | (adj == 1)):
+            raise ValueError("adjacency entries must be 0 or 1")
         adj = adj.astype(np.int8)
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency must be symmetric")
         if np.any(adj.diagonal() != 0):
             raise ValueError("adjacency diagonal must be zero")
-        if not np.all((adj == 0) | (adj == 1)):
-            raise ValueError("adjacency entries must be 0 or 1")
-        for i, j in zip(*np.nonzero(np.triu(adj))):
-            if not grid_adjacent(self.width, self.height, int(i), int(j)):
-                raise ValueError(f"link ({i},{j}) does not join grid-adjacent cells")
+        # For i < j: j is i's right neighbour (not a row's first cell) or the cell above.
+        i, j = np.nonzero(np.triu(adj))
+        bad = np.flatnonzero(((j - i != 1) | (j % self.width == 0)) & (j - i != self.width))
+        if bad.size:
+            raise ValueError(f"link ({i[bad[0]]},{j[bad[0]]}) does not join grid-adjacent cells")
         if not (0 <= self.entrance < n and 0 <= self.exit < n):
             raise ValueError("entrance and exit must be valid node indices")
         if self.entrance == self.exit:
             raise ValueError("entrance and exit must differ")
-        adj = adj.copy()
         adj.flags.writeable = False
         object.__setattr__(self, "adjacency", adj)
 

@@ -68,20 +68,6 @@ class Action:
 
 
 @dataclass(frozen=True, eq=False)
-class Observation:
-    """What the agent sees: step count, populations of the validated state, current topology."""
-
-    step_index: int
-    populations: np.ndarray
-    adjacency_bits: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        pops = np.array(self.populations, dtype=float)
-        pops.flags.writeable = False
-        object.__setattr__(self, "populations", pops)
-
-
-@dataclass(frozen=True, eq=False)
 class EpisodeRecord:
     """Actions, per-step rewards, and the resulting escape probability."""
 
@@ -119,6 +105,7 @@ class MazeEnv:
             Action.toggle(i, j) for i, j in grid_links(base_maze.width, base_maze.height)
         )
         self._legal_links = frozenset(a.link for a in self.action_space if not a.is_noop)
+        self._base_edges = tuple(base_maze.edges())
         self._base_model = build_model(base_maze, params)
         self._state0 = initial_state(self._base_model)
         self._memo: dict[tuple, DensityMatrix] = {}
@@ -130,17 +117,18 @@ class MazeEnv:
         self._prefix: tuple = ()  # action links since reset(); its length is the step index
         self._done = True
 
-    def reset(self) -> Observation:
-        """Start a fresh episode; the environment is deterministic."""
+    def reset(self) -> DensityMatrix:
+        """Start a fresh episode and return the entrance state; the environment is deterministic."""
         if self._memo_bytes > MEMO_BUDGET_BYTES:
             self._memo.clear()
             self._memo_bytes = 0
         self._maze = self.base_maze
         self._model = self._base_model
         self._state = self._state0
+        self._edges = self._base_edges
         self._prefix = ()
         self._done = False
-        return self._observation()
+        return self._state
 
     @property
     def done(self) -> bool:
@@ -157,7 +145,6 @@ class MazeEnv:
         action's link) are grid links of this maze, and at step 0 its
         edges are exactly the maze's.
         """
-        base_edges = tuple(self.base_maze.edges())
         for key, action in policy.table.items():
             step, edges = key
             field = f"policy[{Policy._key_str(key)!r}]"
@@ -167,34 +154,28 @@ class MazeEnv:
             for i, j in links:
                 if (i, j) not in self._legal_links:
                     raise ValueError(f"{field}: {i}-{j} is not a grid link of this maze")
-            if step == 0 and edges != base_edges:
+            if step == 0 and edges != self._base_edges:
                 raise ValueError(f"{field}: step-0 edge set is not this maze's")
 
     def current_p_sink(self) -> float:
         return float(self._state.matrix[-1, -1].real)
 
-    def _observation(self) -> Observation:
-        self._edges = tuple(self._maze.edges())
-        return Observation(
-            step_index=len(self._prefix),
-            populations=self._state.populations(),
-            adjacency_bits=self._edges,
-        )
+    def step(self, action: Action) -> tuple[DensityMatrix, float, bool]:
+        """Apply one action, integrate one interval, return (state, sink gain, done).
 
-    def step(self, action: Action) -> tuple[Observation, float, bool]:
-        """Apply one action, integrate one interval, return sink gain.
-
+        The state is the one ``propagate`` validated (the memo's on a hit).
         The last action's interval runs on to the horizon. Nothing is
         committed unless the action is legal and the integration succeeds.
         """
         if self._done:
             raise ValueError("episode is over; call reset()")
-        maze, model = self._maze, self._model
+        maze, model, edges = self._maze, self._model, self._edges
         if not action.is_noop:
             if action.link not in self._legal_links:
                 raise ValueError(f"illegal action {action.label}")
             maze = toggle_link(maze, *action.link)
             model = None
+            edges = tuple(maze.edges())
         prefix = self._prefix + (action.link,)
         done = len(prefix) == self.max_actions
         state = self._memo.get(prefix)
@@ -207,10 +188,10 @@ class MazeEnv:
             self._memo[prefix] = state
             self._memo_bytes += state.matrix.nbytes
         before = self.current_p_sink()
-        self._maze, self._model, self._state = maze, model, state
+        self._maze, self._model, self._state, self._edges = maze, model, state, edges
         self._prefix = prefix
         self._done = done
-        return self._observation(), self.current_p_sink() - before, done
+        return state, self.current_p_sink() - before, done
 
 
 class Policy:

@@ -72,9 +72,10 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @property
     def populations(self) -> np.ndarray:
-        """Real diagonal of the matrix."""
-        return self.matrix.diagonal().real.copy()
+        """Real diagonal of the matrix, as a read-only view."""
+        return self.matrix.diagonal().real
 
     def purity(self) -> float:
         """Tr(rho^2); 1 for pure states."""

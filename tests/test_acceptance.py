@@ -93,7 +93,7 @@ def test_criterion_02_classical_limit_oracle():
             expected = classical_populations(
                 maze.adjacency, params.gamma, maze.exit, maze.entrance, traj.times
             )
-            actual = np.array([s.populations() for s in traj.states])
+            actual = np.array([s.populations for s in traj.states])
             worst = max(worst, float(np.max(np.abs(actual - expected))))
     ok = worst <= 1e-6
     report(2, ok, f"p=1 diagonals vs independent rate-equation ODE: max dev {worst:.2e}")

@@ -249,7 +249,7 @@ class TestEvolve:
         model = build_model(maze, QSWParams(p=1.0, gamma=1.0, dt=0.005, t_final=10.0))
         traj = evolve(initial_state(model), model, sample_every=40)
         expected = classical_populations(maze.adjacency, 1.0, maze.exit, maze.entrance, traj.times)
-        actual = np.array([s.populations() for s in traj.states])
+        actual = np.array([s.populations for s in traj.states])
         np.testing.assert_allclose(actual, expected, atol=1e-6)
 
     def test_integral_definition_agrees_with_sink_population(self):

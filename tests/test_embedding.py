@@ -234,6 +234,20 @@ class TestGram:
         with pytest.raises(ValueError, match="shots"):
             gram(synth_dataset(2, seed=0), ZERO_MODEL, mode="sampled", shots=0, seed=0)
 
+    @pytest.mark.parametrize(
+        "name, shots, seed",
+        [("shots", 10.7, 0), ("shots", True, 0), ("seed", 10, 1.5), ("seed", 10, False)],
+    )
+    def test_sampled_rejects_non_integer_shots_or_seed(self, name, shots, seed):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            gram(synth_dataset(2, seed=0), ZERO_MODEL, mode="sampled", shots=shots, seed=seed)
+
+    def test_sampled_accepts_numpy_integers(self):
+        ds = synth_dataset(3, seed=0)
+        a = gram(ds, ZERO_MODEL, mode="sampled", shots=np.int64(10), seed=np.int32(4)).matrix
+        b = gram(ds, ZERO_MODEL, mode="sampled", shots=10, seed=4).matrix
+        np.testing.assert_array_equal(a, b)
+
     def test_sampled_requires_seed(self):
         with pytest.raises(ValueError):
             gram(synth_dataset(2, seed=0), ZERO_MODEL, mode="sampled", shots=10)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmlkit.maze import (
     MazeFormatError,
@@ -136,6 +138,63 @@ class TestToggleLink:
         maze = generate_perfect_maze(3, 3, seed=0)
         with pytest.raises(ValueError):
             toggle_link(maze, 4, 4)
+
+
+def _adjacency(width, height, entries):
+    """width x height cell adjacency holding the given (i, j, value) entries, zero elsewhere."""
+    adj = np.zeros((width * height, width * height))
+    for i, j, value in entries:
+        adj[i, j] = value
+    return adj
+
+
+@st.composite
+def grid_and_links(draw):
+    """A 1x2-5x5 grid and a set of links (i < j) mixing near pairs, row wraps and arbitrary pairs."""
+    width = draw(st.integers(1, 5))
+    height = draw(st.integers(2 if width == 1 else 1, 5))
+    n = width * height
+    near = [(i, i + d) for d in (1, width) for i in range(n - d)]  # includes row wraps
+    arbitrary = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+    links = draw(st.sets(st.sampled_from(near) | arbitrary, max_size=2 * n))
+    return width, height, sorted(links)
+
+
+class TestMazeGraphValidation:
+    @pytest.mark.parametrize("value", [0.5, 257, -255, np.nan])
+    def test_rejects_entries_other_than_0_or_1(self, value):
+        adj = _adjacency(2, 2, [(0, 1, value), (1, 0, value)])
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            MazeGraph(2, 2, adj, entrance=0, exit=3, seed=0)
+
+    @pytest.mark.parametrize(
+        "width, height, entries, message",
+        [
+            (2, 2, [(0, 1, 1)], "must be symmetric"),
+            (2, 2, [(0, 1, 1), (1, 0, 1), (2, 2, 1)], "diagonal must be zero"),
+            (2, 2, [(0, 1, 1), (1, 0, 1), (0, 3, 1), (3, 0, 1)], r"link \(0,3\) does not join grid-adjacent"),
+            # cells 2 and 3 end and start a row on a width-3 grid; (3, 5) is also bad but later
+            (3, 2, [(2, 3, 1), (3, 2, 1), (3, 5, 1), (5, 3, 1)], r"link \(2,3\) does not join grid-adjacent"),
+        ],
+        ids=["asymmetric", "diagonal", "non-grid", "row-wrap"],
+    )
+    def test_rejects_invalid_adjacency(self, width, height, entries, message):
+        adj = _adjacency(width, height, entries)
+        with pytest.raises(ValueError, match=message):
+            MazeGraph(width, height, adj, entrance=0, exit=width * height - 1, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=grid_and_links())
+    def test_accepts_exactly_grid_adjacent_links(self, case):
+        width, height, links = case
+        adj = _adjacency(width, height, [(i, j, 1) for i, j in links] + [(j, i, 1) for i, j in links])
+        bad = [(i, j) for i, j in links if not grid_adjacent(width, height, i, j)]
+        if bad:
+            with pytest.raises(ValueError, match=r"link \(%d,%d\) does not join" % bad[0]):
+                MazeGraph(width, height, adj, entrance=0, exit=width * height - 1, seed=0)
+        else:
+            maze = MazeGraph(width, height, adj, entrance=0, exit=width * height - 1, seed=0)
+            assert maze.edges() == links
 
 
 class TestGridHelpers:

@@ -17,6 +17,7 @@ from qmlkit.rlmaze import (
     train,
     _running_average,
 )
+from qmlkit.states import DensityMatrix
 
 PARAMS = QSWParams(p=0.5, gamma=1.0, dt=0.02, t_final=6.0)
 
@@ -70,21 +71,23 @@ class TestEnvSetup:
 
 class TestReset:
     def test_populations_one_hot_at_entrance(self, env):
-        obs = env.reset()
-        expected = np.zeros(10)
-        expected[0] = 1.0
-        np.testing.assert_array_equal(obs.populations, expected)
-        assert obs.step_index == 0
+        state = env.reset()
+        expected = np.zeros((10, 10))
+        expected[0, 0] = 1.0
+        np.testing.assert_array_equal(state.matrix, expected)
+        assert env.state_key()[0] == 0
 
     def test_adjacency_bits_match_base_maze(self, env):
-        obs = env.reset()
-        assert obs.adjacency_bits == tuple(env.base_maze.edges())
+        env.reset()
+        assert env.state_key()[1] == tuple(env.base_maze.edges())
 
     def test_same_seed_same_observation(self, env):
         a = env.reset()
+        key = env.state_key()
+        env.step(Action.toggle(*env.base_maze.edges()[0]))
         b = env.reset()
-        np.testing.assert_array_equal(a.populations, b.populations)
-        assert a.adjacency_bits == b.adjacency_bits
+        np.testing.assert_array_equal(a.matrix, b.matrix)
+        assert env.state_key() == key
 
 
 class TestStep:
@@ -120,8 +123,8 @@ class TestStep:
         with pytest.raises(ValueError):
             env.step(Action((0, 8)))  # not grid-adjacent
         assert env.state_key() == key_before
-        obs, _, done = env.step(Action.noop())  # episode still usable
-        assert obs.step_index == 1 and not done
+        _, _, done = env.step(Action.noop())  # episode still usable
+        assert env.state_key() == (1, key_before[1]) and not done
 
     def test_done_after_max_actions(self, env):
         env.reset()
@@ -155,22 +158,42 @@ class TestStep:
         done = False
         while not done:
             action = env.action_space[rng.integers(len(env.action_space))]
-            obs, _, done = env.step(action)
-            assert obs.populations.min() >= -1e-8
-            assert obs.populations.sum() <= 1.0 + 1e-6
+            state, _, done = env.step(action)
+            assert state.populations.min() >= -1e-8
+            assert state.populations.sum() <= 1.0 + 1e-6
+
+
+class TestStateContract:
+    """reset() and step() return the state ``propagate`` validated, not a copy."""
+
+    def test_returns_validated_state(self, env):
+        state = env.reset()
+        assert isinstance(state, DensityMatrix)
+        assert state.populations[-1] == env.current_p_sink()
+        action = Action.toggle(*env.base_maze.edges()[0])
+        first, _, _ = env.step(action)
+        assert isinstance(first, DensityMatrix) and first is env._memo[(action.link,)]
+        with pytest.raises(ValueError):
+            first.populations[0] = 0.5
+        env.reset()
+        hit, _, done = env.step(action)  # memo hit: the memo's own object
+        assert hit is first
+        while not done:
+            state, _, done = env.step(Action.noop())
+            assert isinstance(state, DensityMatrix)
+            assert state.populations[-1] == env.current_p_sink()
 
 
 def _rollout(env, actions):
-    """Rewards, per-step populations and edge sets, and final p_sink of one episode."""
-    obs = env.reset()
-    rewards, pops, bits = [], [obs.populations], [obs.adjacency_bits]
+    """Rewards, per-step density matrices and state keys, and final p_sink of one episode."""
+    rewards, matrices, keys = [], [env.reset().matrix], [env.state_key()]
     for action in actions:
-        obs, reward, _ = env.step(action)
+        state, reward, _ = env.step(action)
         rewards.append(reward)
-        pops.append(obs.populations)
-        bits.append(obs.adjacency_bits)
+        matrices.append(state.matrix)
+        keys.append(env.state_key())
     assert env.done
-    return np.array(rewards), np.array(pops), bits, env.current_p_sink()
+    return np.array(rewards), np.array(matrices), keys, env.current_p_sink()
 
 
 def _assert_same_rollout(a, b):

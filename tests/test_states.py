@@ -103,7 +103,7 @@ class TestDensityMatrix:
     def test_from_pure(self):
         s = PureState(np.array([np.sqrt(0.25), np.sqrt(0.75) * 1j]))
         rho = DensityMatrix.from_pure(s)
-        assert rho.populations() == pytest.approx([0.25, 0.75])
+        assert rho.populations == pytest.approx([0.25, 0.75])
 
     def test_matrix_read_only(self):
         rho = DensityMatrix.basis_state(2, 0)
