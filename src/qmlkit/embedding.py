@@ -40,6 +40,16 @@ class EmbeddingModel:
         object.__setattr__(self, "thetas", thetas)
 
 
+def _as_points(points) -> np.ndarray:
+    """``points`` as a float array, checked to be 1-d, non-empty and finite."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1 or pts.size == 0:
+        raise ValueError("points must be a non-empty 1-d array")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    return pts
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledDataset1D:
     """Scalar points with 'A'/'B' class labels."""
@@ -48,11 +58,7 @@ class LabeledDataset1D:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size == 0:
-            raise ValueError("points must be a non-empty 1-d array")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
+        pts = _as_points(self.points)
         labels = tuple(self.labels)
         if len(labels) != pts.size:
             raise ValueError("labels and points must have equal length")
@@ -149,6 +155,8 @@ class GramMatrix:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("Gram matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("Gram entries must be finite")
         if not np.array_equal(m, m.T):
             raise ValueError("Gram matrix must be symmetric")
         if m.min() < 0.0 or m.max() > 1.0:
@@ -178,9 +186,7 @@ def gram(dataset, model: EmbeddingModel, mode: str = "exact", shots: int = 100, 
     are independent, and the leading k x k block of an n-point matrix
     equals the k-point matrix bit for bit.
     """
-    points = dataset.points if isinstance(dataset, LabeledDataset1D) else np.asarray(dataset, dtype=float)
-    if points.size == 0:
-        raise ValueError("dataset must be non-empty")
+    points = dataset.points if isinstance(dataset, LabeledDataset1D) else _as_points(dataset)
     states = _embed_batch(points, model.thetas)
     overlap = np.minimum(1.0, _overlap_table(states, states))
     if mode == "exact":
@@ -193,11 +199,13 @@ def gram(dataset, model: EmbeddingModel, mode: str = "exact", shots: int = 100, 
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        m = np.zeros_like(overlap)
+        p0 = 0.5 * (1.0 + overlap)
+        counts = np.zeros(overlap.shape, dtype=np.int64)
         for i in range(points.size):
             rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
-            counts = rng.binomial(shots, 0.5 * (1.0 + overlap[i, i:]))
-            m[i, i:] = np.maximum(0.0, 2.0 * counts / shots - 1.0)
+            counts[i, i:] = rng.binomial(shots, p0[i, i:])
+        # zero counts below the diagonal clamp to 0.0
+        m = np.maximum(0.0, 2.0 * counts / shots - 1.0)
         return GramMatrix(m + np.triu(m, 1).T)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -295,10 +303,19 @@ def classify(points, model: EmbeddingModel, train_dataset: LabeledDataset1D) -> 
 
 
 def write_gram_csv(g: GramMatrix, path, config: dict | None = None) -> None:
+    """One row per line, each entry written as ``repr(float)``.
+
+    Each distinct value is formatted once: a sampled matrix holds at most
+    shots + 1 of them. Values are told apart by their bits, not by float
+    equality, so -0.0 and 0.0 keep their own text.
+    """
+    m = g.matrix
+    keys, inverse = np.unique(m.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    rows = text[inverse.reshape(m.shape)].tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(config_header(config))
-        for row in g.matrix:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        fh.write("".join(",".join(row) + "\n" for row in rows))
 
 
 def write_training_log(curve: np.ndarray, theta_log: np.ndarray, path, config: dict | None = None) -> None:
@@ -311,17 +328,26 @@ def write_training_log(curve: np.ndarray, theta_log: np.ndarray, path, config: d
             fh.write(f"{epoch},{float(value)!r},{ts}\n")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _json_float(value, field: str) -> float:
+    """A parsed JSON number as a finite float; ``ValueError`` naming ``field`` otherwise."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{field} must be a number")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"{field} is too large for a float") from None
+    if not np.isfinite(x):
+        raise ValueError(f"{field} must be finite")
+    return x
 
 
 def model_from_json(text: str) -> EmbeddingModel:
     """Parse an angles document (an object with a ``thetas`` array)."""
     doc = json.loads(text)
     thetas = doc.get("thetas") if isinstance(doc, dict) else None
-    if not isinstance(thetas, list) or len(thetas) != N_THETAS or not all(map(_is_number, thetas)):
+    if not isinstance(thetas, list) or len(thetas) != N_THETAS:
         raise ValueError(f"thetas: expected an array of {N_THETAS} numbers")
-    return EmbeddingModel(tuple(thetas))
+    return EmbeddingModel(tuple(_json_float(t, f"thetas: angle {k}") for k, t in enumerate(thetas)))
 
 
 def dataset_to_json(dataset: LabeledDataset1D) -> str:
@@ -330,15 +356,16 @@ def dataset_to_json(dataset: LabeledDataset1D) -> str:
 
 
 def dataset_from_json(text: str) -> LabeledDataset1D:
+    """Parse a dataset document: an array of ``{"x": number, "label": "A" | "B"}``."""
     doc = json.loads(text)
-    if not isinstance(doc, list):
-        raise ValueError("dataset document must be a JSON array")
+    if not isinstance(doc, list) or not doc:
+        raise ValueError("dataset document must be a non-empty JSON array")
     points, labels = [], []
     for k, item in enumerate(doc):
         if not isinstance(item, dict) or set(item) != {"x", "label"}:
             raise ValueError(f"entry {k}: expected an object with keys x and label")
-        if not _is_number(item["x"]):
-            raise ValueError(f"entry {k}: x must be a number")
-        points.append(float(item["x"]))
-        labels.append(str(item["label"]))
+        points.append(_json_float(item["x"], f"entry {k}: x"))
+        if item["label"] not in ("A", "B"):
+            raise ValueError(f"entry {k}: label must be \"A\" or \"B\"")
+        labels.append(item["label"])
     return LabeledDataset1D(points=np.array(points), labels=tuple(labels))

@@ -360,6 +360,18 @@ class TestMalformedInputFiles:
         result = run_cli("embed-gram", "--dataset", bad, "-o", tmp_path / "g.csv")
         self.check_exit_2(result, "entry 0: x")
 
+    def test_dataset_entry_with_x_too_large_for_a_float(self, tmp_path):
+        bad = tmp_path / "data.json"
+        bad.write_text('[{"x": 0.5, "label": "A"}, {"x": 1' + "0" * 400 + ', "label": "B"}]')
+        result = run_cli("embed-gram", "--dataset", bad, "-o", tmp_path / "g.csv")
+        self.check_exit_2(result, "entry 1: x is too large for a float")
+
+    def test_model_with_angle_too_large_for_a_float(self, tmp_path):
+        bad = tmp_path / "model.json"
+        bad.write_text('{"thetas": [0.1, 1' + "0" * 400 + ', 0.3]}')
+        result = run_cli("embed-gram", "--n-per-class", 3, "--model", bad, "-o", tmp_path / "g.csv")
+        self.check_exit_2(result, "thetas: angle 1 is too large for a float")
+
 
 class TestTopLevel:
     def test_no_command_exits_2(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -21,6 +21,7 @@ from qmlkit.embedding import (
     swap_test,
     synth_dataset,
     train_embedding,
+    write_gram_csv,
 )
 from qmlkit.states import PureState
 
@@ -265,6 +266,84 @@ class TestGram:
             GramMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]))  # asymmetric
         with pytest.raises(ValueError):
             GramMatrix(np.array([[1.0, 1.2], [1.2, 1.0]]))  # out of range
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gram_matrix_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="Gram entries must be finite"):
+            GramMatrix([[bad]])
+        with pytest.raises(ValueError, match="Gram entries must be finite"):
+            GramMatrix(np.array([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(ValueError, match="Gram entries must be finite"):
+            GramMatrix(np.array([[1.0, 0.5], [bad, 1.0]]))
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_raw_points(self, mode, bad):
+        with pytest.raises(ValueError, match="points must be finite"):
+            gram(np.array([0.0, bad, 0.3]), ZERO_MODEL, mode=mode, shots=10, seed=0)
+
+    @pytest.mark.parametrize("points", [np.zeros((2, 2)), np.array([]), np.float64(0.5)], ids=["2-d", "empty", "0-d"])
+    def test_rejects_raw_points_not_1d_non_empty(self, points):
+        with pytest.raises(ValueError, match="points must be a non-empty 1-d array"):
+            gram(points, ZERO_MODEL)
+
+    @pytest.mark.parametrize("seed, shots", [(1, 100), (2, 100), (99, 100), (5, 1), (7, 13)])
+    def test_sampled_matches_per_row_estimates(self, seed, shots):
+        # reference: row i's counts from its own stream, each estimate
+        # clamped and written into the upper triangle row by row
+        ds = synth_dataset(15, seed=3)
+        model = EmbeddingModel((0.7, -1.1, 0.4))
+        states = np.array([embed(x, model).amplitudes for x in ds.points])
+        overlap = np.minimum(1.0, np.abs(states.conj() @ states.T) ** 2)
+        expected = np.zeros_like(overlap)
+        for i in range(len(ds)):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+            counts = rng.binomial(shots, 0.5 * (1.0 + overlap[i, i:]))
+            expected[i, i:] = np.maximum(0.0, 2.0 * counts / shots - 1.0)
+        expected += np.triu(expected, 1).T
+        g = gram(ds, model, mode="sampled", shots=shots, seed=seed).matrix
+        assert g.tobytes() == expected.tobytes()
+
+
+# entries a Gram matrix may hold that format or compare unusually
+SPECIAL_ENTRIES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.1e-308, 1.0, float(np.nextafter(1.0, 0.0)), 0.5, 0.1]
+
+
+@st.composite
+def gram_matrices(draw):
+    """Symmetric matrices in [0, 1] over a pool of 1 to 60 distinct values."""
+    n = draw(st.integers(1, 12))
+    pool = draw(
+        st.lists(st.sampled_from(SPECIAL_ENTRIES) | st.floats(0.0, 1.0), min_size=1, max_size=draw(st.sampled_from([1, 3, 60])))
+    )
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n * n, max_size=n * n))
+    m = np.array([pool[k] for k in picks]).reshape(n, n)
+    m = np.triu(m) + np.triu(m, 1).T
+    # a zero may carry either sign on each side: -0.0 == 0.0 keeps it symmetric
+    flips = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    m[(m == 0.0) & flips] *= -1.0
+    return m
+
+
+class TestWriteGramCsv:
+    @settings(max_examples=150, deadline=None)
+    @given(m=gram_matrices())
+    @example(m=np.array([[0.25]]))
+    @example(m=np.array([[-0.0, 0.0], [0.0, -0.0]]))
+    @example(m=np.array([[1.0, 5e-324], [5e-324, 0.0]]))
+    def test_matches_per_entry_repr(self, tmp_path_factory, m):
+        path = tmp_path_factory.mktemp("gram") / "g.csv"
+        config = {"mode": "sampled", "shots": 100}
+        write_gram_csv(GramMatrix(m), path, config)
+        expected = "# config: mode=sampled shots=100\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in m
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_no_config_writes_rows_only(self, tmp_path):
+        path = tmp_path / "g.csv"
+        write_gram_csv(GramMatrix(np.array([[1.0, -0.0], [0.0, 1.0]])), path)
+        assert path.read_bytes() == b"1.0,-0.0\n0.0,1.0\n"
 
 
 class TestLoss:
