@@ -278,7 +278,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrationError as exc:
-        print(f"integration failure: {exc}", file=sys.stderr)
+        print(f"integration failure: {exc}; try a smaller --dt", file=sys.stderr)
         return 3
 
 

@@ -31,6 +31,18 @@ trace, and the escape probability is simply rho_SS(t). The equivalent
 time-integral definition 2 Gamma * integral of rho_nn is kept as a
 cross-check, see :func:`p_sink_from_integral`.
 
+Integration runs on one real matrix. K has the form -i H_c - diag(delta)
+with H_c = (1-p) H real symmetric and delta real, and a Hermitian
+rho = X + iY (X symmetric, Y antisymmetric) is held exactly by
+R = X + Y, with X = (R + R^T)/2 and Y = (R - R^T)/2. The generator in
+that form is
+
+    L(R) = (H_c R - R H_c)^T - (delta_i + delta_j) R_ij + diag(G diag(R)),
+
+whose commutator is the single real product [H_c | R] @ [[R], [-H_c]].
+L is linear and time-invariant, so one RK4 step is exactly its Horner
+form R + dt L(R + dt/2 L(R + dt/3 L(R + dt/4 L(R)))).
+
 Integration is fixed-step RK4 for determinism; a step that drifts the
 trace or produces non-finite values raises :class:`IntegrationError`
 instead of renormalizing.
@@ -44,15 +56,37 @@ import numpy as np
 
 from .header import config_header
 from .maze import MazeGraph, degrees
-from .states import DensityMatrix
+from .states import HERMITIAN_ATOL, DensityMatrix
 
 
 class IntegrationError(RuntimeError):
-    """Integration produced an invalid state (step size too large)."""
+    """Integration produced an invalid state (step size too large).
 
-    def __init__(self, message: str, step: int | None = None):
+    ``step`` is the first bad step and ``t`` its time, both counted from
+    the start of the integration; ``dt`` is the step size, ``drift`` the
+    bad state's |trace - 1|, and ``last_good_step`` the step of the last
+    state validated as a :class:`DensityMatrix`. Each is None when not
+    known. Given ``t`` and ``dt``, the message ends with both.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        step: int | None = None,
+        *,
+        t: float | None = None,
+        dt: float | None = None,
+        drift: float | None = None,
+        last_good_step: int | None = None,
+    ):
+        if t is not None and dt is not None:
+            message = f"{message}, t={t:g}, dt={dt:g}"
         super().__init__(message)
         self.step = step
+        self.t = t
+        self.dt = dt
+        self.drift = drift
+        self.last_good_step = last_good_step
 
 
 TRACE_DRIFT_LIMIT = 1e-6
@@ -113,6 +147,12 @@ class LindbladModel:
     entrance: int
     params: QSWParams
 
+    def __post_init__(self):
+        if np.count_nonzero(self.K.real) > np.count_nonzero(self.K.real.diagonal()):
+            raise ValueError("K: real part must be diagonal")
+        if not np.array_equal(self.K.imag, self.K.imag.T):
+            raise ValueError("K: imaginary part must be symmetric")
+
     @property
     def dim(self) -> int:
         return self.K.shape[0]
@@ -163,39 +203,82 @@ def initial_state(model: LindbladModel) -> DensityMatrix:
     return DensityMatrix.basis_state(model.dim, model.entrance)
 
 
-def _rhs(rho: np.ndarray, model: LindbladModel) -> np.ndarray:
-    """K rho + rho K^dag + diag(G diag(rho)) for a Hermitian matrix rho."""
-    a = model.K @ rho
-    out = a + a.conj().T
-    out.flat[:: model.dim + 1] += model.G @ rho.diagonal()
+class _RealForm:
+    """H_c, delta and the work buffers of L for one model, built once per call.
+
+    The stage input Z is ``right[:d]``, the top block of
+    ``right = [[Z], [-H_c]]``; :func:`_rhs` mirrors it into the right
+    block of ``left = [H_c | Z]``, so ``left @ right = H_c Z - Z H_c``.
+    """
+
+    def __init__(self, model: LindbladModel):
+        d = model.dim
+        h = -model.K.imag
+        delta = -model.K.real.diagonal()
+        self.left = np.empty((d, 2 * d))
+        self.left[:, :d] = h
+        self.right = np.empty((2 * d, d))
+        self.right[d:] = -h
+        self.z = self.right[:d]
+        self.z_mirror = self.left[:, d:]
+        self.rate = delta[:, None] + delta  # delta_i + delta_j
+        self.gain = model.G
+        self.comm = np.empty((d, d))
+        self.out = np.empty((d, d))
+        self.out_diagonal = self.out.reshape(-1)[:: d + 1]
+
+
+def _to_real(rho: np.ndarray) -> np.ndarray:
+    """R = Re rho + Im rho, which holds a Hermitian rho exactly."""
+    return rho.real + rho.imag
+
+
+def _to_complex(r: np.ndarray) -> np.ndarray:
+    """The Hermitian rho = (R + R^T)/2 + i (R - R^T)/2 that R holds."""
+    return 0.5 * (r + r.T) + 0.5j * (r - r.T)
+
+
+def _rhs(form: _RealForm) -> np.ndarray:
+    """L(Z) for the stage input Z = ``form.z``, into ``form.out``."""
+    z = form.z
+    form.z_mirror[...] = z
+    np.matmul(form.left, form.right, out=form.comm)
+    out = form.out
+    np.multiply(form.rate, z, out=out)
+    np.subtract(form.comm.T, out, out=out)
+    form.out_diagonal += form.gain @ z.diagonal()
     return out
+
+
+def _rk4_step(r: np.ndarray, dt: float, form: _RealForm) -> None:
+    """Advance R by one RK4 step in place, in Horner form."""
+    z = form.z
+    z[...] = r
+    for c in (dt / 4.0, dt / 3.0, dt / 2.0):
+        np.multiply(_rhs(form), c, out=z)
+        z += r
+    out = _rhs(form)
+    out *= dt
+    r += out
 
 
 def lindblad_rhs(rho, model: LindbladModel) -> np.ndarray:
     """drho/dt for a state of the model's dimension.
 
-    Accepts a :class:`DensityMatrix` or a plain Hermitian array. The
-    output is Hermitian and traceless: total population only moves
-    between maze and sink, never leaves the state space.
+    Accepts a :class:`DensityMatrix` or a plain Hermitian array; a
+    non-Hermitian array raises ValueError. The output is Hermitian and
+    traceless: total population only moves between maze and sink, never
+    leaves the state space.
     """
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if mat.shape != (model.dim, model.dim):
         raise ValueError(f"state shape {mat.shape} does not match model dimension {model.dim}")
-    return _rhs(mat, model)
-
-
-def _rk4_step(rho: np.ndarray, dt: float, model: LindbladModel) -> np.ndarray:
-    k1 = _rhs(rho, model)
-    k2 = _rhs(rho + (0.5 * dt) * k1, model)
-    k3 = _rhs(rho + (0.5 * dt) * k2, model)
-    k4 = _rhs(rho + dt * k3, model)
-    # rho + dt/6 * (k1 + 2 k2 + 2 k3 + k4), reusing the stage buffers
-    k2 += k3
-    k1 += k4
-    k1 += 2.0 * k2
-    k1 *= dt / 6.0
-    k1 += rho
-    return k1
+    herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
+    if not herm_dev <= HERMITIAN_ATOL:
+        raise ValueError(f"state is not Hermitian: max |M - M^dag| = {herm_dev}")
+    form = _RealForm(model)
+    form.z[...] = _to_real(mat)
+    return _to_complex(_rhs(form))
 
 
 def propagate(
@@ -215,28 +298,42 @@ def propagate(
     """
     dt = model.params.dt
     n = model.sink_exit
-    rho = state.matrix
+    form = _RealForm(model)
+    r = _to_real(state.matrix)
     for k in range(n_steps):
-        rho = _rk4_step(rho, dt, model)
-        tr = rho.trace().real
-        if not np.isfinite(tr):
+        _rk4_step(r, dt, form)
+        tr = np.trace(r)
+        if not abs(tr - 1.0) <= TRACE_DRIFT_LIMIT:
+            step = first_step + k + 1
+            problem = f"trace drifted to {tr} at step {step} (dt too large?)"
+            if not np.isfinite(tr):
+                problem = f"non-finite state at step {step}"
             raise IntegrationError(
-                f"non-finite state at step {first_step + k + 1}", step=first_step + k + 1
-            )
-        if abs(tr - 1.0) > TRACE_DRIFT_LIMIT:
-            raise IntegrationError(
-                f"trace drifted to {tr} at step {first_step + k + 1} (dt too large?)",
-                step=first_step + k + 1,
+                problem, step, t=step * dt, dt=dt, drift=float(abs(tr - 1.0)), last_good_step=first_step
             )
         if exit_trace is not None:
-            exit_trace[k] = rho[n, n].real
-    last = first_step + n_steps
+            exit_trace[k] = r[n, n]
     try:
-        return DensityMatrix(rho)
+        return DensityMatrix(_to_complex(r))
     except ValueError as exc:
-        for k in range(first_step, last - 1):  # failure path: validate every step to find the first bad one
-            state = propagate(state, model, 1, first_step=k)
-        raise IntegrationError(f"invalid state at step {last}: {exc}", step=last) from exc
+        failure = exc
+    # failure path: replay the span, validating every step, to find the first bad one
+    r = _to_real(state.matrix)
+    for step in range(first_step + 1, first_step + n_steps + 1):
+        _rk4_step(r, dt, form)
+        try:
+            DensityMatrix(_to_complex(r))
+        except ValueError as exc:
+            failure = exc
+            break
+    raise IntegrationError(
+        f"invalid state at step {step}: {failure}",
+        step,
+        t=step * dt,
+        dt=dt,
+        drift=float(abs(np.trace(r) - 1.0)),
+        last_good_step=step - 1,
+    ) from failure
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,9 +391,9 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, sample_every: int = 10) ->
     sample_steps = np.array(sample_steps)
     p_sink = np.array([s.matrix[sink, sink].real for s in snapshots])
     if np.any(np.diff(p_sink) < -1e-9):
-        raise IntegrationError("sink population series is not monotone (dt too large?)")
+        raise IntegrationError("sink population series is not monotone (dt too large?)", dt=dt)
     if p_sink.min() < -1e-9 or p_sink.max() > 1.0 + 1e-8:
-        raise IntegrationError(f"sink population outside [0, 1]: {p_sink.min()}..{p_sink.max()}")
+        raise IntegrationError(f"sink population outside [0, 1]: {p_sink.min()}..{p_sink.max()}", dt=dt)
     return Trajectory(
         times=sample_steps * dt,
         states=tuple(snapshots),

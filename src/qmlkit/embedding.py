@@ -32,7 +32,13 @@ class EmbeddingModel:
     thetas: tuple[float, float, float]
 
     def __post_init__(self):
-        thetas = tuple(float(t) for t in self.thetas)
+        thetas = []
+        for k, t in enumerate(self.thetas):
+            try:
+                thetas.append(float(t))
+            except OverflowError:
+                raise ValueError(f"thetas: angle {k} is too large for a float") from None
+        thetas = tuple(thetas)
         if len(thetas) != N_THETAS:
             raise ValueError(f"expected {N_THETAS} angles, got {len(thetas)}")
         if not all(np.isfinite(t) for t in thetas):
@@ -42,7 +48,15 @@ class EmbeddingModel:
 
 def _as_points(points) -> np.ndarray:
     """``points`` as a float array, checked to be 1-d, non-empty and finite."""
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except OverflowError:
+        for k, x in enumerate(np.ravel(np.asarray(points, dtype=object))):
+            try:
+                float(x)
+            except OverflowError:
+                raise ValueError(f"points: point {k} is too large for a float") from None
+        raise
     if pts.ndim != 1 or pts.size == 0:
         raise ValueError("points must be a non-empty 1-d array")
     if not np.all(np.isfinite(pts)):

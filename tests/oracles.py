@@ -6,7 +6,8 @@ integrated with scipy's adaptive solvers, the characteristic polynomial
 comes from the Faddeev-LeVerrier recursion, so agreement with the
 package is evidence, not tautology. The literal Lindblad generator
 sums the jump operators one by one, built here from the maze adjacency,
-and imports nothing from the package.
+and imports nothing from the package; its classical RK4 integrator
+works on the complex density matrix, not on the package's real form.
 """
 
 import numpy as np
@@ -65,6 +66,21 @@ def literal_rhs(rho, adjacency, p: float, gamma: float, exit_node: int) -> np.nd
     transfer[n, n] = rho[exit_node, exit_node]
     out += gamma * (2.0 * transfer - (proj @ rho + rho @ proj))
     return out
+
+
+def literal_rk4(rho, adjacency, p: float, gamma: float, exit_node: int, dt: float, n_steps: int) -> np.ndarray:
+    """n_steps of textbook RK4 on :func:`literal_rhs`, in complex arithmetic."""
+    def f(r):
+        return literal_rhs(r, adjacency, p, gamma, exit_node)
+
+    rho = np.array(rho, dtype=complex)
+    for _ in range(n_steps):
+        k1 = f(rho)
+        k2 = f(rho + 0.5 * dt * k1)
+        k3 = f(rho + 0.5 * dt * k2)
+        k4 = f(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
 
 
 def classical_populations(adjacency, gamma: float, exit_node: int, start: int, times) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -132,6 +133,22 @@ class TestQswRun:
             assert "integration failure" in result.stderr, args[0]
             if step is not None:
                 assert f"invalid state at step {step}:" in result.stderr, args[0]
+
+    def test_failure_reports_same_step_time_and_dt(self, tmp_path, small_maze):
+        # seed-2 3x3 maze, p = 0, dt = 0.1: the state after step 1 fails positivity
+        line = re.compile(r"invalid state at step (\d+): .*, t=(\S+), dt=(\S+); try a smaller --dt$")
+        reports = {}
+        for args in (
+            ("qsw-run", *UNSTABLE_RL_FLAGS[:6], "-o", "t.csv"),
+            ("rl-train", *UNSTABLE_RL_FLAGS, "--episodes", 2, "--seed", 0, "-o", "c.csv"),
+            ("rl-eval", *UNSTABLE_RL_FLAGS),
+        ):
+            result = run_cli(args[0], "--maze", small_maze, *args[1:], cwd=tmp_path)
+            assert result.returncode == 3, args[0]
+            match = line.search(result.stderr.strip())
+            assert match, result.stderr
+            reports[args[0]] = match.groups()
+        assert set(reports.values()) == {("1", "0.1", "0.1")}, reports
 
     def test_states_json_export(self, tmp_path, two_node_maze):
         out, states = tmp_path / "t.csv", tmp_path / "states.json"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qmlkit.dynamics import (
     IntegrationError,
+    LindbladModel,
     QSWParams,
     Trajectory,
     build_model,
@@ -12,11 +13,12 @@ from qmlkit.dynamics import (
     initial_state,
     lindblad_rhs,
     p_sink_from_integral,
+    propagate,
 )
 from qmlkit.maze import MazeGraph, generate_perfect_maze, grid_links, toggle_link
 from qmlkit.states import DensityMatrix
 
-from oracles import classical_populations, literal_rhs, random_density_matrix
+from oracles import classical_populations, literal_rhs, literal_rk4, random_density_matrix
 from test_maze import path_maze
 
 
@@ -97,6 +99,21 @@ class TestBuildModel:
         assert not plain.G[3].any()
         np.testing.assert_array_equal(plain.G[:3, :3], model.G[:3, :3])
 
+    @pytest.mark.parametrize("entry", [(0, 1), (3, 2)], ids=["upper", "lower"])
+    def test_rejects_off_diagonal_real_part(self, entry):
+        model = build_model(path_maze(3), QSWParams(p=0.3))
+        k = model.K.copy()
+        k[entry] += 1e-3
+        with pytest.raises(ValueError, match="K: real part must be diagonal"):
+            LindbladModel(k, model.G, model.sink_exit, model.entrance, model.params)
+
+    def test_rejects_asymmetric_imaginary_part(self):
+        model = build_model(path_maze(3), QSWParams(p=0.3))
+        k = model.K.copy()
+        k[0, 1] += 1e-3j
+        with pytest.raises(ValueError, match="K: imaginary part must be symmetric"):
+            LindbladModel(k, model.G, model.sink_exit, model.entrance, model.params)
+
 
 class TestLindbladRhs:
     def test_traceless_on_random_states(self):
@@ -145,6 +162,13 @@ class TestLindbladRhs:
         model = build_model(path_maze(2), QSWParams(p=0.5))
         with pytest.raises(ValueError):
             lindblad_rhs(np.eye(7) / 7.0, model)
+
+    def test_non_hermitian_state_rejected(self):
+        model = build_model(path_maze(2), QSWParams(p=0.5))
+        rho = np.eye(3, dtype=complex) / 3.0
+        rho[0, 1] = 0.1j  # rho[1, 0] stays 0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            lindblad_rhs(rho, model)
 
     def test_initial_leak_reaches_only_entrance_neighbors(self):
         # with rho0 = |entrance><entrance| the only nonzero derivative
@@ -206,6 +230,31 @@ class TestRhsProperty:
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
         assert np.max(np.abs(out - out.conj().T)) <= 1e-15
         assert abs(out.trace()) <= 1e-12
+
+
+class TestPropagateProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        maze=edited_mazes(),
+        p=st.floats(0.0, 1.0),
+        gamma=st.floats(0.0, 10.0, exclude_min=True),
+        state_seed=st.integers(0, 2**32 - 1),
+        sink=st.booleans(),
+        n_steps=st.integers(1, 30),
+    )
+    def test_matches_complex_rk4_oracle(self, maze, p, gamma, state_seed, sink, n_steps):
+        dt = 0.02
+        model = build_model(maze, QSWParams(p=p, gamma=gamma, dt=dt, t_final=1.0))
+        if not sink:
+            model = model.without_sink()
+        rho = random_density_matrix(model.dim, np.random.default_rng(state_seed))
+        exit_trace = np.empty(n_steps)
+        out = propagate(DensityMatrix(rho), model, n_steps, exit_trace=exit_trace).matrix
+        expected = literal_rk4(rho, maze.adjacency, p, gamma if sink else 0.0, maze.exit, dt, n_steps)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(out, out.conj().T)
+        assert not out.diagonal().imag.any()
+        assert exit_trace[-1] == out[maze.exit, maze.exit].real
 
 
 class TestInitialState:
@@ -296,6 +345,18 @@ class TestEvolve:
         with pytest.raises(IntegrationError) as err:
             evolve(initial_state(model), model, sample_every=1)
         assert err.value.step is not None
+
+    def test_failure_carries_time_step_size_and_drift(self):
+        maze = generate_perfect_maze(4, 4, seed=0)
+        model = build_model(maze, QSWParams(p=0.0, gamma=1.0, dt=1.5, t_final=30.0))
+        with pytest.raises(IntegrationError) as err:
+            evolve(initial_state(model), model, sample_every=1)
+        exc = err.value
+        assert exc.dt == 1.5 and exc.t == exc.step * 1.5
+        assert exc.last_good_step == exc.step - 1  # one-step spans: the start of the span is validated
+        assert 0.0 <= exc.drift <= 1e-6  # the trace held; positivity failed
+        assert str(exc).startswith(f"invalid state at step {exc.step}: not positive semidefinite")
+        assert str(exc).endswith(f", t={exc.t:g}, dt=1.5")
 
     def test_dimension_mismatch_rejected(self):
         model = build_model(path_maze(2), QSWParams(p=0.5))

@@ -77,6 +77,10 @@ class TestEmbed:
         with pytest.raises(ValueError):
             EmbeddingModel((0.0, np.inf, 0.0))
 
+    def test_angle_too_large_for_a_float_rejected(self):
+        with pytest.raises(ValueError, match="^thetas: angle 0 is too large for a float$"):
+            EmbeddingModel((10**400, 0, 0))
+
 
 class TestRotationY:
     def test_zero_angle_is_identity(self):
@@ -281,6 +285,10 @@ class TestGram:
     def test_rejects_non_finite_raw_points(self, mode, bad):
         with pytest.raises(ValueError, match="points must be finite"):
             gram(np.array([0.0, bad, 0.3]), ZERO_MODEL, mode=mode, shots=10, seed=0)
+
+    def test_rejects_raw_point_too_large_for_a_float(self):
+        with pytest.raises(ValueError, match="^points: point 1 is too large for a float$"):
+            gram([0.0, 10**400], ZERO_MODEL)
 
     @pytest.mark.parametrize("points", [np.zeros((2, 2)), np.array([]), np.float64(0.5)], ids=["2-d", "empty", "0-d"])
     def test_rejects_raw_points_not_1d_non_empty(self, points):
@@ -498,3 +506,7 @@ class TestDatasetValidation:
     def test_non_finite_point_rejected(self):
         with pytest.raises(ValueError):
             LabeledDataset1D(np.array([0.1, np.nan]), ("A", "B"))
+
+    def test_point_too_large_for_a_float_rejected(self):
+        with pytest.raises(ValueError, match="^points: point 1 is too large for a float$"):
+            LabeledDataset1D([0.0, 10**400], ("A", "B"))

@@ -286,6 +286,18 @@ class TestMemo:
         assert err.value.step == 1
         assert env._prefix == () and env.state_key() == key and not env._memo
 
+    def test_invalid_state_error_carries_context(self):
+        params = QSWParams(p=0.0, gamma=1.0, dt=0.1, t_final=100.0)
+        env = MazeEnv(generate_perfect_maze(3, 3, seed=2), params, action_period=10.0, max_actions=8)
+        env.reset()
+        with pytest.raises(IntegrationError) as err:
+            env.step(Action.noop())
+        exc = err.value
+        assert (exc.step, exc.t, exc.dt, exc.last_good_step) == (1, 0.1, 0.1, 0)
+        assert 0.0 <= exc.drift <= 1e-6  # the trace held; positivity failed
+        assert str(exc).startswith("invalid state at step 1: not positive semidefinite")
+        assert str(exc).endswith(", t=0.1, dt=0.1")
+
 
 class TestTrain:
     def test_greedy_zero_table_reproduces_baseline(self, env):
