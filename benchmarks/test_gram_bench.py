@@ -11,11 +11,14 @@ workload's size: 100 points per class and 100 shots per entry. The
 Gram CSV writer runs on both the sampled matrix (at most shots + 1
 distinct values) and the exact one (about n^2 / 2 distinct values).
 ``gradient`` runs at the embed-train default, 20 points per class.
+``test_embed_gram_cli`` times one in-process ``embed-gram --mode
+sampled`` run end to end, argument parsing and the CSV write included.
 """
 
 import numpy as np
 import pytest
 
+from qmlkit import cli
 from qmlkit.embedding import EmbeddingModel, _embed_batch, gradient, gram, synth_dataset, write_gram_csv
 
 N_PER_CLASS, SHOTS = 100, 100
@@ -58,3 +61,11 @@ def test_write_gram_csv(benchmark, dataset, model, mode, tmp_path):
 def test_gradient(benchmark, model):
     grad = benchmark(gradient, model, synth_dataset(TRAIN_PER_CLASS, seed=0))
     assert grad.shape == (3,)
+
+
+def test_embed_gram_cli(benchmark, tmp_path):
+    out = tmp_path / "gram.csv"
+    argv = ["embed-gram", "--n-per-class", N_PER_CLASS, "--data-seed", 0, "--thetas", 0.7, -1.1, 0.4,
+            "--mode", "sampled", "--shots", SHOTS, "--seed", 0, "-o", out]
+    assert benchmark(cli.main, list(map(str, argv))) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2 * N_PER_CLASS

@@ -25,6 +25,30 @@ from .header import config_header
 from .maze import MazeFormatError, deserialize, generate_perfect_maze, serialize
 
 
+# dests of the flags that name an input or output file
+PATH_DESTS = ("maze", "policy", "dataset", "model", "output", "states_out", "policy_out", "model_out", "dataset_out")
+
+
+def _seed(text: str) -> int:
+    """argparse type for seed flags: a non-negative integer."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
+def _path_flag(args, filename) -> str | None:
+    """The flag whose value is ``filename``, if any (unset flags hold None)."""
+    if filename is not None:
+        for dest in PATH_DESTS:
+            if getattr(args, dest, None) == filename:
+                return "--" + dest.replace("_", "-")
+    return None
+
+
 def _load_maze(path):
     with open(path, "r", encoding="utf-8") as fh:
         return deserialize(fh.read())
@@ -204,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maze-gen", help="generate a perfect maze file")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--exit", type=int, default=None, help="exit node (default: upper-right cell)")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_maze_gen)
@@ -222,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_flags(p)
     _add_env_flags(p)
     p.add_argument("--episodes", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--discount", type=float, default=1.0)
     p.add_argument("--epsilon-start", type=float, default=1.0)
@@ -242,10 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed-train", help="train the data-uploading embedding")
     p.add_argument("--dataset", default=None, help="dataset JSON (default: synthesize)")
     p.add_argument("--n-per-class", type=int, default=20)
-    p.add_argument("--data-seed", type=int, default=0)
+    p.add_argument("--data-seed", type=_seed, default=0)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("-o", "--output", required=True, help="training-log CSV")
     p.add_argument("--model-out", default=None, help="trained angles JSON")
     p.add_argument("--dataset-out", default=None, help="save the dataset that was used")
@@ -254,12 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed-gram", help="compute a Gram matrix of pairwise overlaps")
     p.add_argument("--dataset", default=None, help="dataset JSON (default: synthesize)")
     p.add_argument("--n-per-class", type=int, default=5)
-    p.add_argument("--data-seed", type=int, default=0)
+    p.add_argument("--data-seed", type=_seed, default=0)
     p.add_argument("--model", default=None, help="angles JSON from embed-train")
     p.add_argument("--thetas", type=float, nargs=3, default=(0.0, 0.0, 0.0), metavar=("T1", "T2", "T3"))
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     p.add_argument("--shots", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None, help="master seed for sampled mode")
+    p.add_argument("--seed", type=_seed, default=None, help="master seed for sampled mode")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_embed_gram)
 
@@ -271,8 +295,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        flag = _path_flag(args, exc.filename)
+        if flag is None:
+            raise
+        print(f"error: {flag} {exc.filename!r}: {exc.strerror}", file=sys.stderr)
         return 2
     except (MazeFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ from .states import PureState
 
 N_THETAS = 3
 SHIFT = np.pi / 2
+MAX_SHOTS = int(np.iinfo(np.int64).max)  # numpy's binomial takes an int64 count
 
 
 @dataclass(frozen=True)
@@ -193,12 +194,13 @@ def gram(dataset, model: EmbeddingModel, mode: str = "exact", shots: int = 100, 
 
     ``mode="exact"`` computes |<x_i|x_j>|^2 analytically (unit diagonal
     by construction). ``mode="sampled"`` runs :func:`swap_test` on each
-    pair i <= j; row i draws its counts for j = i..n-1 in order from one
-    stream, ``SeedSequence([seed, i])``. Entry (i, j) depends only on
-    seed, shots, i and the overlaps (i, i..j), not on (seed, i, j) alone,
-    since numpy's binomial draws use a variable share of the stream. Rows
-    are independent, and the leading k x k block of an n-point matrix
-    equals the k-point matrix bit for bit.
+    pair i <= j, drawing every count from one stream,
+    ``SeedSequence(seed)``, in column order: j = 0..n-1, then i = 0..j.
+    Entry (i, j) depends on seed, shots and the overlaps of the pairs up
+    to it in that order, not on (seed, i, j) alone, since numpy's binomial
+    draws use a variable share of the stream. Column order puts the pairs
+    of the first k points first, so the leading k x k block of an n-point
+    matrix equals the k-point matrix bit for bit.
     """
     points = dataset.points if isinstance(dataset, LabeledDataset1D) else _as_points(dataset)
     states = _embed_batch(points, model.thetas)
@@ -211,16 +213,17 @@ def gram(dataset, model: EmbeddingModel, mode: str = "exact", shots: int = 100, 
         for name, value in (("shots", shots), ("seed", seed)):
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
-        p0 = 0.5 * (1.0 + overlap)
-        counts = np.zeros(overlap.shape, dtype=np.int64)
-        for i in range(points.size):
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
-            counts[i, i:] = rng.binomial(shots, p0[i, i:])
-        # zero counts below the diagonal clamp to 0.0
-        m = np.maximum(0.0, 2.0 * counts / shots - 1.0)
-        return GramMatrix(m + np.triu(m, 1).T)
+        if not 1 <= shots <= MAX_SHOTS:
+            raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        # read as (j, i), tril_indices lists the upper triangle column by column
+        j, i = np.tril_indices(points.size)
+        rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+        counts = rng.binomial(shots, 0.5 * (1.0 + overlap[i, j]))
+        m = np.empty_like(overlap)
+        m[i, j] = m[j, i] = np.maximum(0.0, 2.0 * counts / shots - 1.0)
+        return GramMatrix(m)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -398,3 +398,47 @@ class TestTopLevel:
     def test_unknown_command_exits_2(self):
         result = run_cli("frobnicate")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["maze-gen", "--width", "3", "--height", "3", "--seed", "-1"], "--seed"),
+            (["rl-train", "--maze", "m.json", "--p", "0.5", "--episodes", "1", "--seed", "-1"], "--seed"),
+            (["embed-train", "--seed", "-1"], "--seed"),
+            (["embed-train", "--seed", "0", "--data-seed", "-1"], "--data-seed"),
+            (["embed-gram", "--mode", "sampled", "--seed", "-1"], "--seed"),
+            (["embed-gram", "--data-seed", "x"], "--data-seed"),
+        ],
+        ids=["maze-gen", "rl-train", "embed-train", "embed-train-data", "embed-gram", "embed-gram-data"],
+    )
+    def test_bad_seed_rejected_at_parse_time(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "-o", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_shots_above_int64_exits_2(self, tmp_path, capsys):
+        argv = ["embed-gram", "--mode", "sampled", "--shots", str(10**20), "--seed", "1", "-o", str(tmp_path / "g.csv")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: shots must lie in [1, ")
+
+    def test_directory_as_input_path_exits_2(self, tmp_path, capsys):
+        argv = ["embed-gram", "--dataset", str(tmp_path), "-o", str(tmp_path / "g.csv")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: --dataset {str(tmp_path)!r}: Is a directory\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["maze-gen", "--width", "3", "--height", "3", "--seed", "2"], ["embed-gram", "--n-per-class", "3"]],
+        ids=["maze-gen", "embed-gram"],
+    )
+    def test_directory_as_output_path_exits_2(self, argv, tmp_path, capsys):
+        assert cli.main([*argv, "-o", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: --output {str(tmp_path)!r}: Is a directory\n"
+
+    def test_missing_input_file_names_its_flag(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert cli.main(["qsw-run", "--maze", missing, "--p", "0.5", "-o", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == f"error: --maze {missing!r}: No such file or directory\n"

@@ -214,14 +214,14 @@ class TestGram:
         np.testing.assert_array_equal(full[:k, :k], head)
 
     def test_sampled_rows_match_swap_test_loop(self):
-        # reference: one swap_test per pair, drawing in order from row i's stream
+        # reference: one swap_test per pair, drawing column by column from one stream
         ds = synth_dataset(4, seed=6)
         model = EmbeddingModel((0.7, -1.1, 0.4))
         g = gram(ds, model, mode="sampled", shots=100, seed=9).matrix
         states = [embed(x, model) for x in ds.points]
-        for i in range(len(ds)):
-            rng = np.random.default_rng(np.random.SeedSequence([9, i]))
-            for j in range(i, len(ds)):
+        rng = np.random.default_rng(np.random.SeedSequence(9))
+        for j in range(len(ds)):
+            for i in range(j + 1):
                 assert g[i, j] == g[j, i] == swap_test(states[i], states[j], 100, rng)
 
     def test_sampled_block_ignores_later_points(self):
@@ -238,6 +238,19 @@ class TestGram:
     def test_sampled_rejects_zero_shots(self):
         with pytest.raises(ValueError, match="shots"):
             gram(synth_dataset(2, seed=0), ZERO_MODEL, mode="sampled", shots=0, seed=0)
+
+    @pytest.mark.parametrize(
+        "shots, seed, message",
+        [
+            (2**63, 0, r"shots must lie in \[1, 9223372036854775807\], got 9223372036854775808"),
+            (10, -1, "seed must be non-negative, got -1"),
+            (10, np.int64(-5), "seed must be non-negative, got -5"),
+        ],
+        ids=["shots-above-int64", "negative-seed", "negative-numpy-seed"],
+    )
+    def test_sampled_rejects_out_of_range_shots_or_seed(self, shots, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gram(synth_dataset(2, seed=0), ZERO_MODEL, mode="sampled", shots=shots, seed=seed)
 
     @pytest.mark.parametrize(
         "name, shots, seed",
@@ -297,18 +310,18 @@ class TestGram:
 
     @pytest.mark.parametrize("seed, shots", [(1, 100), (2, 100), (99, 100), (5, 1), (7, 13)])
     def test_sampled_matches_per_row_estimates(self, seed, shots):
-        # reference: row i's counts from its own stream, each estimate
-        # clamped and written into the upper triangle row by row
+        # reference: one scalar count per pair from one stream, column by
+        # column, each estimate clamped and written into both triangles
         ds = synth_dataset(15, seed=3)
         model = EmbeddingModel((0.7, -1.1, 0.4))
         states = np.array([embed(x, model).amplitudes for x in ds.points])
         overlap = np.minimum(1.0, np.abs(states.conj() @ states.T) ** 2)
         expected = np.zeros_like(overlap)
-        for i in range(len(ds)):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-            counts = rng.binomial(shots, 0.5 * (1.0 + overlap[i, i:]))
-            expected[i, i:] = np.maximum(0.0, 2.0 * counts / shots - 1.0)
-        expected += np.triu(expected, 1).T
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        for j in range(len(ds)):
+            for i in range(j + 1):
+                count = rng.binomial(shots, 0.5 * (1.0 + overlap[i, j]))
+                expected[i, j] = expected[j, i] = max(0.0, 2.0 * count / shots - 1.0)
         g = gram(ds, model, mode="sampled", shots=shots, seed=seed).matrix
         assert g.tobytes() == expected.tobytes()
 
