@@ -10,7 +10,9 @@ The points and angles match the ``embed-gram-sampled`` benchmark
 workload's size: 100 points per class and 100 shots per entry. The
 Gram CSV writer runs on both the sampled matrix (at most shots + 1
 distinct values) and the exact one (about n^2 / 2 distinct values).
-``gradient`` runs at the embed-train default, 20 points per class.
+``gradient`` runs at the embed-train default, 20 points per class, and
+``train_embedding`` at the workload's set-up: 20 points per class for
+300 epochs.
 ``test_embed_gram_cli`` times one in-process ``embed-gram --mode
 sampled`` run end to end, argument parsing and the CSV write included.
 """
@@ -19,10 +21,19 @@ import numpy as np
 import pytest
 
 from qmlkit import cli
-from qmlkit.embedding import EmbeddingModel, _embed_batch, gradient, gram, synth_dataset, write_gram_csv
+from qmlkit.embedding import (
+    EmbeddingModel,
+    TrainConfig,
+    _embed_batch,
+    gradient,
+    gram,
+    synth_dataset,
+    train_embedding,
+    write_gram_csv,
+)
 
 N_PER_CLASS, SHOTS = 100, 100
-TRAIN_PER_CLASS = 20
+TRAIN_PER_CLASS, TRAIN_EPOCHS = 20, 300
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +72,11 @@ def test_write_gram_csv(benchmark, dataset, model, mode, tmp_path):
 def test_gradient(benchmark, model):
     grad = benchmark(gradient, model, synth_dataset(TRAIN_PER_CLASS, seed=0))
     assert grad.shape == (3,)
+
+
+def test_train_embedding(benchmark):
+    _, curve, _ = benchmark(train_embedding, synth_dataset(TRAIN_PER_CLASS, seed=0), TrainConfig(epochs=TRAIN_EPOCHS))
+    assert curve.shape == (TRAIN_EPOCHS,)
 
 
 def test_embed_gram_cli(benchmark, tmp_path):

@@ -8,6 +8,7 @@ configuration or input, 3 numerical failure during integration.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,6 +28,7 @@ from .maze import MazeFormatError, deserialize, generate_perfect_maze, serialize
 
 # dests of the flags that name an input or output file
 PATH_DESTS = ("maze", "policy", "dataset", "model", "output", "states_out", "policy_out", "model_out", "dataset_out")
+SAMPLED_SHOTS = 100  # embed-gram --shots when --mode sampled leaves it out
 
 
 def _seed(text: str) -> int:
@@ -198,27 +200,34 @@ def cmd_embed_train(args) -> int:
 
 
 def cmd_embed_gram(args) -> int:
+    sampled = args.mode == "sampled"
+    if sampled and args.seed is None:
+        raise ValueError("--mode sampled requires --seed")
+    for flag, value in (("--seed", args.seed), ("--shots", args.shots)):
+        if not sampled and value is not None:
+            raise ValueError(f"{flag} applies only to --mode sampled")
+    shots = SAMPLED_SHOTS if args.shots is None else args.shots
     dataset = _dataset_from(args)
     if args.model:
         with open(args.model, "r", encoding="utf-8") as fh:
             model = embedding.model_from_json(fh.read())
     else:
         model = embedding.EmbeddingModel(tuple(args.thetas))
-    if args.mode == "sampled" and args.seed is None:
-        raise ValueError("--mode sampled requires --seed")
-    g = embedding.gram(dataset, model, mode=args.mode, shots=args.shots, seed=args.seed)
+    g = embedding.gram(dataset, model, mode=args.mode, shots=shots, seed=args.seed)
     file_config = {
         "dataset": _dataset_label(args),
         "thetas": ",".join(repr(t) for t in model.thetas),
         "mode": args.mode,
-        "shots": args.shots if args.mode == "sampled" else "n/a",
-        "seed": args.seed if args.mode == "sampled" else "n/a",
+        "shots": shots if sampled else "n/a",
+        "seed": args.seed if sampled else "n/a",
     }
     embedding.write_gram_csv(g, args.output, file_config)
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qmlkit",
         description="Quantum walker maze control and embedding classification experiments.",
@@ -282,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="angles JSON from embed-train")
     p.add_argument("--thetas", type=float, nargs=3, default=(0.0, 0.0, 0.0), metavar=("T1", "T2", "T3"))
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p.add_argument("--shots", type=int, default=100)
-    p.add_argument("--seed", type=_seed, default=None, help="master seed for sampled mode")
+    p.add_argument("--shots", type=int, default=None, help=f"shots per entry, sampled mode only (default {SAMPLED_SHOTS})")
+    p.add_argument("--seed", type=_seed, default=None, help="master seed, sampled mode only (required there)")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_embed_gram)
 
@@ -291,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

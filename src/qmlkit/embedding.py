@@ -118,18 +118,21 @@ def rotation_y(angle: float) -> np.ndarray:
 
 
 def _embed_batch(xs: np.ndarray, thetas) -> np.ndarray:
-    """States for a batch of points, shape (n, 2)."""
+    """States for a batch of points: shape (n, 2) for one angle set, or
+    (m, n, 2) for a stack of m sets, shape (m, 3).
+
+    Each gate is applied as explicit 2x2 arithmetic on the two amplitude
+    arrays, which gives the same bits as the one-set einsum form.
+    """
     xs = np.asarray(xs, dtype=float)
-    c, s = np.cos(xs / 2.0), np.sin(xs / 2.0)
-    rx = np.empty((xs.size, 2, 2), dtype=complex)
-    rx[:, 0, 0] = rx[:, 1, 1] = c
-    rx[:, 0, 1] = rx[:, 1, 0] = -1.0j * s
-    state = rx[:, :, 0]
-    for theta in thetas:
-        ry = rotation_y(theta)
-        state = np.einsum("ab,nb->na", ry, state)
-        state = np.einsum("nab,nb->na", rx, state)
-    return state
+    c, ms = np.cos(xs / 2.0), -1.0j * np.sin(xs / 2.0)  # RX(x) = [[c, ms], [ms, c]]
+    half = np.asarray(thetas, dtype=float)[..., None] / 2.0
+    cc, ss = np.cos(half), np.sin(half)  # RY(t) = [[cc, -ss], [ss, cc]]
+    a, b = c, ms  # RX(x)|0>
+    for k in range(N_THETAS):
+        a, b = cc[..., k, :] * a + (-ss[..., k, :]) * b, ss[..., k, :] * a + cc[..., k, :] * b
+        a, b = c * a + ms * b, ms * a + c * b
+    return np.stack([a, b], axis=-1)
 
 
 def embed(x: float, model: EmbeddingModel) -> PureState:
@@ -227,55 +230,57 @@ def gram(dataset, model: EmbeddingModel, mode: str = "exact", shots: int = 100, 
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _pair_indices(labels) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i < j) split into same-class and cross-class groups."""
+def _pair_indices(labels) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Index pairs (i < j) as (rows, cols), split into same-class and cross-class groups."""
     labels = np.asarray(labels)
     iu, ju = np.triu_indices(len(labels), k=1)
     same = labels[iu] == labels[ju]
-    return np.stack([iu[same], ju[same]], axis=1), np.stack([iu[~same], ju[~same]], axis=1)
+    return (iu[same], ju[same]), (iu[~same], ju[~same])
 
 
-def _loss_from_gram(m: np.ndarray, labels) -> float:
-    same, cross = _pair_indices(labels)
-    value = 0.0
-    if len(same):
-        value += float(np.mean(1.0 - m[same[:, 0], same[:, 1]]))
-    if len(cross):
-        value += float(np.mean(m[cross[:, 0], cross[:, 1]]))
-    return value
+def _loss_and_gradient(model: EmbeddingModel, points: np.ndarray, pairs) -> tuple[float, np.ndarray]:
+    """The loss and its parameter-shift gradient from one embedding call.
+
+    Row 0 of the angle stack is the model's; rows 2k + 1 and 2k + 2 shift
+    angle k by +pi/2 and -pi/2. Every set's states are overlapped with the
+    unshifted ones in one (7, n, n) table. Slice 0 gives the exact Gram
+    entries; each angle's overlap derivative combines its two shifted
+    slices, applied to the bra side and, by symmetry, transposed for the ket.
+    """
+    sets = np.tile(model.thetas, (2 * N_THETAS + 1, 1))
+    for k in range(N_THETAS):
+        sets[2 * k + 1, k] += SHIFT
+        sets[2 * k + 2, k] -= SHIFT
+    states = _embed_batch(points, sets)
+    table = _overlap_table(states, states[0])
+    overlap = np.minimum(1.0, table[0])
+    m = 0.5 * (overlap + overlap.T)
+    half_diffs = 0.5 * (table[1::2] - table[2::2])
+    d_grams = half_diffs + half_diffs.transpose(0, 2, 1)
+    value, grad = 0.0, np.zeros(N_THETAS)
+    (si, sj), (ci, cj) = pairs
+    if len(si):
+        value += float(np.mean(1.0 - m[si, sj]))
+        grad -= [np.mean(d[si, sj]) for d in d_grams]
+    if len(ci):
+        value += float(np.mean(m[ci, cj]))
+        grad += [np.mean(d[ci, cj]) for d in d_grams]
+    return value, grad
 
 
 def loss(model: EmbeddingModel, dataset: LabeledDataset1D) -> float:
-    """Mean same-class (1 - overlap) plus mean cross-class overlap."""
-    return _loss_from_gram(gram(dataset, model).matrix, dataset.labels)
+    """Mean same-class (1 - overlap) plus mean cross-class overlap, read
+    off the exact Gram matrix."""
+    return _loss_and_gradient(model, dataset.points, _pair_indices(dataset.labels))[0]
 
 
 def gradient(model: EmbeddingModel, dataset: LabeledDataset1D) -> np.ndarray:
-    """dC/dtheta via the parameter-shift rule.
+    """dC/dtheta via the parameter-shift rule, exact for half-angle rotations.
 
-    Each angle appears once in each of the two embeddings of a pair, so
-    its overlap derivative combines four evaluations: the +-pi/2 shifts
-    applied to the bra side and, by symmetry, transposed for the ket.
+    Computed together with the loss by one embedding of the unshifted and
+    the six +-pi/2-shifted angle sets.
     """
-    points = dataset.points
-    base = _embed_batch(points, model.thetas)
-    same, cross = _pair_indices(dataset.labels)
-    grad = np.zeros(N_THETAS)
-    for k in range(N_THETAS):
-        shifted = []
-        for sign in (1.0, -1.0):
-            thetas = list(model.thetas)
-            thetas[k] += sign * SHIFT
-            shifted.append(_overlap_table(_embed_batch(points, thetas), base))
-        half_diff = 0.5 * (shifted[0] - shifted[1])
-        d_gram = half_diff + half_diff.T
-        value = 0.0
-        if len(same):
-            value -= float(np.mean(d_gram[same[:, 0], same[:, 1]]))
-        if len(cross):
-            value += float(np.mean(d_gram[cross[:, 0], cross[:, 1]]))
-        grad[k] = value
-    return grad
+    return _loss_and_gradient(model, dataset.points, _pair_indices(dataset.labels))[1]
 
 
 @dataclass(frozen=True)
@@ -284,25 +289,31 @@ class TrainConfig:
     epochs: int = 300
     seed: int = 0
 
+    def __post_init__(self):
+        if not np.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate!r}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
+
 
 def train_embedding(dataset: LabeledDataset1D, config: TrainConfig) -> tuple[EmbeddingModel, np.ndarray, np.ndarray]:
     """Full-batch gradient descent from seeded uniform(-pi, pi) angles.
 
     Returns the final model, the loss recorded at the start of every
     epoch, and the angles at the start of every epoch (one row each).
-    The step is fixed, so the loss curve need not be monotone.
+    The step is fixed, so the loss curve need not be monotone. The pair
+    groups are found once; each epoch then makes one batched embedding
+    of all seven angle sets, which yields both its loss and its gradient.
     """
-    if config.epochs < 1:
-        raise ValueError("epochs must be >= 1")
     rng = np.random.default_rng(config.seed)
     thetas = rng.uniform(-np.pi, np.pi, size=N_THETAS)
     curve = np.empty(config.epochs)
     theta_log = np.empty((config.epochs, N_THETAS))
+    pairs = _pair_indices(dataset.labels)
     for epoch in range(config.epochs):
-        model = EmbeddingModel(tuple(thetas))
-        curve[epoch] = loss(model, dataset)
+        curve[epoch], grad = _loss_and_gradient(EmbeddingModel(tuple(thetas)), dataset.points, pairs)
         theta_log[epoch] = thetas
-        thetas = thetas - config.learning_rate * gradient(model, dataset)
+        thetas = thetas - config.learning_rate * grad
     return EmbeddingModel(tuple(thetas)), curve, theta_log
 
 

@@ -8,6 +8,9 @@ package is evidence, not tautology. The literal Lindblad generator
 sums the jump operators one by one, built here from the maze adjacency,
 and imports nothing from the package; its classical RK4 integrator
 works on the complex density matrix, not on the package's real form.
+The literal embedding trainer is the package's original per-angle
+gradient-descent loop, copied in with its einsums; from the package it
+takes only the angle record and the synthetic dataset.
 """
 
 import numpy as np
@@ -138,3 +141,66 @@ def random_pure_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v = v / np.linalg.norm(v)
     return np.outer(v, v.conj())
+
+
+def _literal_embed(xs, thetas) -> np.ndarray:
+    """States RX(x) RY(t3) RX(x) RY(t2) RX(x) RY(t1) RX(x)|0>, one einsum per gate."""
+    c, s = np.cos(xs / 2.0), np.sin(xs / 2.0)
+    rx = np.empty((xs.size, 2, 2), dtype=complex)
+    rx[:, 0, 0] = rx[:, 1, 1] = c
+    rx[:, 0, 1] = rx[:, 1, 0] = -1.0j * s
+    state = rx[:, :, 0]
+    for theta in thetas:
+        ct, st = np.cos(theta / 2.0), np.sin(theta / 2.0)
+        ry = np.array([[ct, -st], [st, ct]], dtype=complex)
+        state = np.einsum("ab,nb->na", ry, state)
+        state = np.einsum("nab,nb->na", rx, state)
+    return state
+
+
+def literal_train_embedding(n_per_class: int, data_seed: int, learning_rate: float, epochs: int, seed: int):
+    """Full-batch parameter-shift descent on ``synth_dataset(n_per_class, data_seed)``.
+
+    Every epoch embeds the points for the loss, builds the exact Gram
+    matrix from them, and embeds them once more per shifted angle set
+    for the gradient. Returns the final angles, the loss at the start of
+    every epoch and the angles at the start of every epoch.
+    """
+    from qmlkit.embedding import EmbeddingModel, synth_dataset
+
+    dataset = synth_dataset(n_per_class, data_seed)
+    xs = np.asarray(dataset.points)
+    labels = np.asarray(dataset.labels)
+    iu, ju = np.triu_indices(labels.size, k=1)
+    same = labels[iu] == labels[ju]
+    groups = ((iu[same], ju[same], -1.0), (iu[~same], ju[~same], 1.0))
+
+    def table(row, col):
+        return np.abs(row.conj() @ col.T) ** 2
+
+    thetas = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=3)
+    curve, theta_log = np.empty(epochs), np.empty((epochs, 3))
+    for epoch in range(epochs):
+        model = EmbeddingModel(tuple(thetas))
+        base = _literal_embed(xs, model.thetas)
+        overlap = np.minimum(1.0, table(base, base))
+        gram = 0.5 * (overlap + overlap.T)
+        np.fill_diagonal(gram, 1.0)
+        value = 0.0
+        value += float(np.mean(1.0 - gram[iu[same], ju[same]]))
+        value += float(np.mean(gram[iu[~same], ju[~same]]))
+        curve[epoch] = value
+        theta_log[epoch] = thetas
+        grad = np.zeros(3)
+        for k in range(3):
+            shifted = []
+            for sign in (1.0, -1.0):
+                angles = list(model.thetas)
+                angles[k] += sign * np.pi / 2
+                shifted.append(table(_literal_embed(xs, angles), base))
+            half_diff = 0.5 * (shifted[0] - shifted[1])
+            d_gram = half_diff + half_diff.T
+            for i, j, weight in groups:
+                grad[k] += weight * float(np.mean(d_gram[i, j]))
+        thetas = thetas - learning_rate * grad
+    return EmbeddingModel(tuple(thetas)).thetas, curve, theta_log

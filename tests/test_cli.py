@@ -309,6 +309,50 @@ class TestEmbedCommands:
         assert "shots" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--shots", "7")])
+    def test_gram_exact_rejects_sampling_flag(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert cli.main(["embed-gram", "--n-per-class", "2", flag, value, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} applies only to --mode sampled\n"
+        assert not out.exists()
+
+    def test_gram_sampled_defaults_to_100_shots(self, tmp_path):
+        default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+        argv = ["embed-gram", "--n-per-class", "3", "--mode", "sampled", "--seed", "4"]
+        assert cli.main([*argv, "-o", str(default)]) == 0
+        assert cli.main([*argv, "--shots", "100", "-o", str(explicit)]) == 0
+        assert default.read_bytes() == explicit.read_bytes()
+        assert " shots=100 " in default.read_text().splitlines()[0]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--lr", "nan"], "learning_rate must be finite, got nan"),
+            (["--lr", "inf"], "learning_rate must be finite, got inf"),
+            (["--epochs", "0"], "epochs must be >= 1, got 0"),
+        ],
+    )
+    def test_train_bad_config_names_the_field(self, flags, message, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        assert cli.main(["embed-train", "--n-per-class", "2", "--seed", "0", *flags, "-o", str(log)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not log.exists()
+
+    def test_parser_reuse_carries_no_value_over(self, tmp_path, capsys):
+        sampled, exact = tmp_path / "sampled.csv", tmp_path / "exact.csv"
+        assert cli.main(["embed-gram", "--n-per-class", "2", "--seed", "5", "--mode", "sampled", "-o", str(sampled)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["embed-gram", "--mode", "neither", "-o", str(exact)])
+        assert exc.value.code == 2
+        assert cli.main(["embed-gram", "--n-per-class", "2", "-o", str(exact)]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        assert "seed=5 shots=100" in sampled.read_text().splitlines()[0]
+        assert "mode=exact" in exact.read_text().splitlines()[0]
+        assert "seed=n/a shots=n/a" in exact.read_text().splitlines()[0]
+        result = run_cli("embed-gram", "--n-per-class", 2, "-o", tmp_path / "fresh.csv")
+        assert result.returncode == 0
+        assert exact.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
     def test_dataset_file_round_trip(self, tmp_path):
         data = tmp_path / "data.json"
         log = tmp_path / "log.csv"

@@ -22,8 +22,11 @@ from qmlkit.embedding import (
     synth_dataset,
     train_embedding,
     write_gram_csv,
+    _embed_batch,
 )
 from qmlkit.states import PureState
+
+from oracles import literal_train_embedding
 
 ZERO_MODEL = EmbeddingModel((0.0, 0.0, 0.0))
 
@@ -80,6 +83,17 @@ class TestEmbed:
     def test_angle_too_large_for_a_float_rejected(self):
         with pytest.raises(ValueError, match="^thetas: angle 0 is too large for a float$"):
             EmbeddingModel((10**400, 0, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 50), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_angle_sets_match_one_call_per_set(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-3.0, 3.0, size=n)
+        sets = rng.uniform(-2 * np.pi, 2 * np.pi, size=(m, 3))
+        stacked = _embed_batch(xs, sets)
+        assert stacked.shape == (m, n, 2)
+        for row, thetas in zip(stacked, sets):
+            np.testing.assert_array_equal(row.view(np.int64), _embed_batch(xs, thetas).view(np.int64))
 
 
 class TestRotationY:
@@ -442,6 +456,34 @@ class TestTrain:
         model_b, curve_b, _ = train_embedding(ds, config)
         assert model_a.thetas == model_b.thetas
         np.testing.assert_array_equal(curve_a, curve_b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_per_class=st.integers(2, 40),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        epochs=st.integers(1, 30),
+    )
+    @example(n_per_class=20, data_seed=11, seed=0, epochs=30)
+    def test_matches_literal_loop_bit_for_bit(self, n_per_class, data_seed, seed, epochs):
+        config = TrainConfig(learning_rate=0.1, epochs=epochs, seed=seed)
+        model, curve, theta_log = train_embedding(synth_dataset(n_per_class, data_seed), config)
+        thetas, curve_ref, log_ref = literal_train_embedding(n_per_class, data_seed, 0.1, epochs, seed)
+        np.testing.assert_array_equal(curve.view(np.int64), curve_ref.view(np.int64))
+        np.testing.assert_array_equal(theta_log.view(np.int64), log_ref.view(np.int64))
+        np.testing.assert_array_equal(np.array(model.thetas).view(np.int64), np.array(thetas).view(np.int64))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"learning_rate": np.nan}, "learning_rate must be finite, got nan"),
+            ({"learning_rate": -np.inf}, "learning_rate must be finite, got -inf"),
+            ({"epochs": 0}, "epochs must be >= 1, got 0"),
+        ],
+    )
+    def test_config_rejects_bad_fields(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**kwargs)
 
     def test_loss_decreases_on_benchmark(self):
         ds = synth_dataset(10, seed=11)
