@@ -8,8 +8,8 @@ commits on a shared host:
 
 The walk uses the criterion-5 settings (p = 0.8, dt = 0.1, 100 steps per
 action interval). Both ``MazeEnv.step`` cases toggle the maze's first
-link: on a memo hit the step is the toggle, the new edge set and a memo
-lookup; on a miss it also rebuilds the model and integrates the interval.
+link: on a memo hit the step is the toggle and a memo lookup; on a miss
+it also rebuilds the model and integrates the interval.
 """
 
 import pytest
@@ -32,14 +32,14 @@ def _env(maze):
 
 
 def test_toggle_link(benchmark, maze):
-    i, j = maze.edges()[0]
+    i, j = maze.edges[0]
     flipped = benchmark(toggle_link, maze, i, j)
-    assert (i, j) not in flipped.edges()
+    assert (i, j) not in flipped.edges
 
 
 def test_step_memo_hit(benchmark, maze):
     env = _env(maze)
-    action = Action.toggle(*maze.edges()[0])
+    action = Action.toggle(*maze.edges[0])
     env.reset()
     env.step(action)
 
@@ -48,11 +48,11 @@ def test_step_memo_hit(benchmark, maze):
         return (action,), {}
 
     benchmark.pedantic(env.step, setup=setup, rounds=2000)
-    assert env.state_key() == (1, tuple(toggle_link(maze, *action.link).edges()))
+    assert env.state_key() == (1, toggle_link(maze, *action.link).edges)
 
 
 def test_step_memo_miss(benchmark, maze):
-    action = Action.toggle(*maze.edges()[0])
+    action = Action.toggle(*maze.edges[0])
 
     def setup():
         env = _env(maze)  # a fresh environment has an empty memo

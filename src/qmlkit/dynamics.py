@@ -182,17 +182,24 @@ def _generator(coherent: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.n
 def build_model(maze: MazeGraph, params: QSWParams) -> LindbladModel:
     """Assemble the Lindblad model for the current maze topology.
 
-    Degrees are recomputed from the adjacency as given, so the same call
-    works for pristine perfect mazes and for topologies already edited
-    by an agent; an isolated node has an all-zero adjacency column and
-    so no hopping rates.
+    The dense matrices are built here from the maze's edge list, with
+    degrees recomputed from the links as given, so the same call works
+    for pristine perfect mazes and for topologies already edited by an
+    agent; an isolated node has no links and so no hopping rates. A maze
+    too large for its (N+1) x (N+1) generator raises ValueError naming
+    its size and the bytes required.
     """
     n = maze.n_nodes
     p = params.p
-    ham = np.zeros((n + 1, n + 1), dtype=complex)
-    ham[:n, :n] = maze.adjacency
+    try:
+        ham = np.zeros((n + 1, n + 1), dtype=complex)
+    except (MemoryError, ValueError) as exc:
+        size = 16 * (n + 1) ** 2
+        raise ValueError(f"maze {maze.width}x{maze.height} is too large: its generator needs {size} bytes") from exc
+    adjacency = maze.adjacency
+    ham[:n, :n] = adjacency
     gain = np.zeros((n + 1, n + 1))
-    gain[:n, :n] = p * (maze.adjacency / np.maximum(degrees(maze), 1) ** 2)
+    gain[:n, :n] = p * (adjacency / np.maximum(degrees(maze), 1) ** 2)
     gain[n, maze.exit] = 2.0 * params.gamma
     k, g = _generator((-1j * (1.0 - p)) * ham, gain)
     return LindbladModel(K=k, G=g, sink_exit=maze.exit, entrance=maze.entrance, params=params)

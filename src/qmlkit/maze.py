@@ -1,8 +1,9 @@
 """Grid mazes as graphs: generation, edits, and JSON round-trips.
 
-A maze on a ``width x height`` grid is stored as a symmetric 0/1
-adjacency matrix over the cells. Cells are indexed row-major with row 0
-at the bottom, so the lower-left cell is node 0. Freshly generated
+A maze on a ``width x height`` grid is stored as its sorted tuple of
+links (i, j), i < j, between grid-adjacent cells; the dense adjacency
+matrix is derived on demand. Cells are indexed row-major with row 0 at
+the bottom, so the lower-left cell is node 0. Freshly generated
 mazes are perfect (their passage graph is a spanning tree); edits made
 later through :func:`toggle_link` may break that property, which is
 deliberate.
@@ -10,6 +11,7 @@ deliberate.
 
 import json
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -59,59 +61,60 @@ def _grid_neighbors(width: int, height: int, node: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MazeGraph:
-    """Symmetric 0/1 adjacency over grid cells, with entrance and exit."""
+    """Grid cells joined by ``edges``, with an entrance and an exit.
+
+    ``edges`` may be given as any iterable of (i, j) pairs with i < j; it
+    is checked once and stored as a sorted tuple of tuples.
+    """
 
     width: int
     height: int
-    adjacency: np.ndarray
+    edges: tuple[tuple[int, int], ...]
     entrance: int
     exit: int
     seed: int
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
+        width = self.width
+        if width < 1 or self.height < 1:
             raise ValueError("maze dimensions must be positive")
-        n = self.width * self.height
-        adj = np.asarray(self.adjacency)
-        if adj.shape != (n, n):
-            raise ValueError(f"adjacency shape {adj.shape} does not match {n} cells")
-        if not np.all((adj == 0) | (adj == 1)):
-            raise ValueError("adjacency entries must be 0 or 1")
-        adj = adj.astype(np.int8)
-        if not np.array_equal(adj, adj.T):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(adj.diagonal() != 0):
-            raise ValueError("adjacency diagonal must be zero")
-        # For i < j: j is i's right neighbour (not a row's first cell) or the cell above.
-        i, j = np.nonzero(np.triu(adj))
-        bad = np.flatnonzero(((j - i != 1) | (j % self.width == 0)) & (j - i != self.width))
-        if bad.size:
-            raise ValueError(f"link ({i[bad[0]]},{j[bad[0]]}) does not join grid-adjacent cells")
+        n = width * self.height
+        links = set()
+        for k, (i, j) in enumerate(self.edges):
+            i, j = index(i), index(j)
+            if not (0 <= i < n and 0 <= j < n):
+                problem = f"node pair ({i},{j}) out of range for {n} cells"
+            elif i >= j:
+                problem = f"pair ({i},{j}) must satisfy i < j"
+            # j is i's right neighbour (not a row's first cell) or the cell above
+            elif j - i != width and (j - i != 1 or j % width == 0):
+                problem = f"cells ({i},{j}) are not grid-adjacent"
+            elif (i, j) in links:
+                problem = f"duplicate link ({i},{j})"
+            else:
+                links.add((i, j))
+                continue
+            raise ValueError(f"edges[{k}]: {problem}")
         if not (0 <= self.entrance < n and 0 <= self.exit < n):
             raise ValueError("entrance and exit must be valid node indices")
         if self.entrance == self.exit:
             raise ValueError("entrance and exit must differ")
-        adj.flags.writeable = False
-        object.__setattr__(self, "adjacency", adj)
-
-    def __eq__(self, other):
-        if not isinstance(other, MazeGraph):
-            return NotImplemented
-        return (
-            (self.width, self.height, self.entrance, self.exit, self.seed)
-            == (other.width, other.height, other.entrance, other.exit, other.seed)
-            and np.array_equal(self.adjacency, other.adjacency)
-        )
+        object.__setattr__(self, "edges", tuple(sorted(links)))
 
     @property
     def n_nodes(self) -> int:
         return self.width * self.height
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Present links as sorted (i, j) pairs with i < j."""
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(self.adjacency)))]
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Symmetric 0/1 int8 adjacency matrix, built from ``edges`` on each read."""
+        n = self.n_nodes
+        adj = np.zeros((n, n), dtype=np.int8)
+        i, j = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+        adj[i, j] = adj[j, i] = 1
+        return adj
 
 
 def generate_perfect_maze(width: int, height: int, seed: int, exit: int | None = None) -> MazeGraph:
@@ -126,26 +129,26 @@ def generate_perfect_maze(width: int, height: int, seed: int, exit: int | None =
     n = width * height
     exit_node = n - 1 if exit is None else int(exit)
     rng = np.random.default_rng(seed)
-    adj = np.zeros((n, n), dtype=np.int8)
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
+    edges = []
+    visited = {0}
     stack = [0]
     while stack:
         current = stack[-1]
-        frontier = [m for m in _grid_neighbors(width, height, current) if not visited[m]]
+        frontier = [m for m in _grid_neighbors(width, height, current) if m not in visited]
         if not frontier:
             stack.pop()
             continue
         nxt = frontier[rng.integers(len(frontier))]
-        adj[current, nxt] = adj[nxt, current] = 1
-        visited[nxt] = True
+        edges.append((min(current, nxt), max(current, nxt)))
+        visited.add(nxt)
         stack.append(nxt)
-    return MazeGraph(width, height, adj, entrance=0, exit=exit_node, seed=int(seed))
+    return MazeGraph(width, height, edges, entrance=0, exit=exit_node, seed=int(seed))
 
 
 def degrees(maze: MazeGraph) -> np.ndarray:
-    """Node degrees d_j as column sums of the adjacency matrix."""
-    return maze.adjacency.sum(axis=0).astype(np.int64)
+    """Node degrees d_j: the number of links at each node."""
+    ends = np.array(maze.edges, dtype=np.intp).ravel()
+    return np.bincount(ends, minlength=maze.n_nodes)
 
 
 def toggle_link(maze: MazeGraph, i: int, j: int) -> MazeGraph:
@@ -158,36 +161,8 @@ def toggle_link(maze: MazeGraph, i: int, j: int) -> MazeGraph:
         raise ValueError("cannot toggle a self-link")
     if not grid_adjacent(maze.width, maze.height, i, j):
         raise ValueError(f"cells {i} and {j} are not grid-adjacent")
-    adj = maze.adjacency.copy()
-    adj[i, j] ^= 1
-    adj[j, i] ^= 1
-    return MazeGraph(maze.width, maze.height, adj, maze.entrance, maze.exit, maze.seed)
-
-
-def connected_components(maze: MazeGraph) -> int:
-    """Number of connected components of the passage graph."""
-    n = maze.n_nodes
-    seen = np.zeros(n, dtype=bool)
-    count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        count += 1
-        queue = [start]
-        seen[start] = True
-        while queue:
-            node = queue.pop()
-            for nbr in np.nonzero(maze.adjacency[node])[0]:
-                if not seen[nbr]:
-                    seen[nbr] = True
-                    queue.append(int(nbr))
-    return count
-
-
-def is_spanning_tree(maze: MazeGraph) -> bool:
-    """True when the passage graph is connected with exactly N-1 links."""
-    n_edges = int(maze.adjacency.sum()) // 2
-    return n_edges == maze.n_nodes - 1 and connected_components(maze) == 1
+    edges = set(maze.edges) ^ {(min(i, j), max(i, j))}
+    return MazeGraph(maze.width, maze.height, edges, maze.entrance, maze.exit, maze.seed)
 
 
 def serialize(maze: MazeGraph) -> str:
@@ -198,7 +173,7 @@ def serialize(maze: MazeGraph) -> str:
         "entrance": maze.entrance,
         "exit": maze.exit,
         "seed": maze.seed,
-        "edges": [[i, j] for i, j in maze.edges()],
+        "edges": maze.edges,
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -211,9 +186,9 @@ def deserialize(text: str) -> MazeGraph:
 
     The document is an object with integer fields ``width``, ``height``,
     ``entrance``, ``exit``, ``seed`` and an ``edges`` array of [i, j]
-    pairs with i < j. Adjacency is rebuilt symmetrically from the edge
-    list; malformed input raises :class:`MazeFormatError` naming the
-    offending field.
+    pairs with i < j, in any order. Malformed input raises
+    :class:`MazeFormatError` naming the offending field, down to the
+    index k of a bad ``edges[k]``.
     """
     try:
         doc = json.loads(text)
@@ -233,29 +208,16 @@ def deserialize(text: str) -> MazeGraph:
     width, height = doc["width"], doc["height"]
     if width < 1 or height < 1:
         raise MazeFormatError("width and height must be positive")
-    n = width * height
     if not isinstance(doc["edges"], list):
         raise MazeFormatError("edges: expected an array")
-    adj = np.zeros((n, n), dtype=np.int8)
     for k, pair in enumerate(doc["edges"]):
-        where = f"edges[{k}]"
         if (
             not isinstance(pair, list)
             or len(pair) != 2
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
         ):
-            raise MazeFormatError(f"{where}: expected a pair of integers")
-        i, j = pair
-        if not (0 <= i < n and 0 <= j < n):
-            raise MazeFormatError(f"{where}: node pair ({i},{j}) out of range for {n} cells")
-        if i >= j:
-            raise MazeFormatError(f"{where}: pair ({i},{j}) must satisfy i < j")
-        if not grid_adjacent(width, height, i, j):
-            raise MazeFormatError(f"{where}: cells ({i},{j}) are not grid-adjacent")
-        if adj[i, j]:
-            raise MazeFormatError(f"{where}: duplicate link ({i},{j})")
-        adj[i, j] = adj[j, i] = 1
+            raise MazeFormatError(f"edges[{k}]: expected a pair of integers")
     try:
-        return MazeGraph(width, height, adj, doc["entrance"], doc["exit"], doc["seed"])
+        return MazeGraph(width, height, doc["edges"], doc["entrance"], doc["exit"], doc["seed"])
     except ValueError as exc:
         raise MazeFormatError(str(exc)) from exc

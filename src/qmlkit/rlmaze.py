@@ -101,19 +101,18 @@ class MazeEnv:
         self.action_period = action_period
         self.max_actions = max_actions
         self.steps_per_interval = steps_per_interval
+        # Built before grid_links, so a maze too large to model fails before its links are listed.
+        self._base_model = build_model(base_maze, params)
+        self._state0 = initial_state(self._base_model)
         self.action_space: tuple[Action, ...] = (Action.noop(),) + tuple(
             Action.toggle(i, j) for i, j in grid_links(base_maze.width, base_maze.height)
         )
         self._legal_links = frozenset(a.link for a in self.action_space if not a.is_noop)
-        self._base_edges = tuple(base_maze.edges())
-        self._base_model = build_model(base_maze, params)
-        self._state0 = initial_state(self._base_model)
         self._memo: dict[tuple, DensityMatrix] = {}
         self._memo_bytes = 0
         self._maze = None
         self._model = None  # None while a toggle has left it stale
         self._state = None
-        self._edges = None
         self._prefix: tuple = ()  # action links since reset(); its length is the step index
         self._done = True
 
@@ -125,7 +124,6 @@ class MazeEnv:
         self._maze = self.base_maze
         self._model = self._base_model
         self._state = self._state0
-        self._edges = self._base_edges
         self._prefix = ()
         self._done = False
         return self._state
@@ -136,7 +134,7 @@ class MazeEnv:
 
     def state_key(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """(step index, current edge set): the tabular agent's state."""
-        return (len(self._prefix), self._edges)
+        return (len(self._prefix), self._maze.edges)
 
     def check_policy(self, policy: "Policy") -> None:
         """Reject a policy table with a key this environment can never reach.
@@ -154,7 +152,7 @@ class MazeEnv:
             for i, j in links:
                 if (i, j) not in self._legal_links:
                     raise ValueError(f"{field}: {i}-{j} is not a grid link of this maze")
-            if step == 0 and edges != self._base_edges:
+            if step == 0 and edges != self.base_maze.edges:
                 raise ValueError(f"{field}: step-0 edge set is not this maze's")
 
     def current_p_sink(self) -> float:
@@ -169,13 +167,12 @@ class MazeEnv:
         """
         if self._done:
             raise ValueError("episode is over; call reset()")
-        maze, model, edges = self._maze, self._model, self._edges
+        maze, model = self._maze, self._model
         if not action.is_noop:
             if action.link not in self._legal_links:
                 raise ValueError(f"illegal action {action.label}")
             maze = toggle_link(maze, *action.link)
             model = None
-            edges = tuple(maze.edges())
         prefix = self._prefix + (action.link,)
         done = len(prefix) == self.max_actions
         state = self._memo.get(prefix)
@@ -188,7 +185,7 @@ class MazeEnv:
             self._memo[prefix] = state
             self._memo_bytes += state.matrix.nbytes
         before = self.current_p_sink()
-        self._maze, self._model, self._state, self._edges = maze, model, state, edges
+        self._maze, self._model, self._state = maze, model, state
         self._prefix = prefix
         self._done = done
         return state, self.current_p_sink() - before, done

@@ -10,7 +10,8 @@ and imports nothing from the package; its classical RK4 integrator
 works on the complex density matrix, not on the package's real form.
 The literal embedding trainer is the package's original per-angle
 gradient-descent loop, copied in with its einsums; from the package it
-takes only the angle record and the synthetic dataset.
+takes only the angle record and the synthetic dataset. Maze
+connectivity is counted by union-find over a plain edge list.
 """
 
 import numpy as np
@@ -108,6 +109,29 @@ def classical_populations(adjacency, gamma: float, exit_node: int, start: int, t
     if not sol.success:
         raise RuntimeError(f"oracle integration failed: {sol.message}")
     return sol.y.T
+
+
+def connected_components(n_nodes: int, edges) -> int:
+    """Number of connected components of the graph on n_nodes nodes with these links."""
+    parent = list(range(n_nodes))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    count = n_nodes
+    for i, j in edges:
+        ri, rj = root(i), root(j)
+        if ri != rj:
+            parent[ri] = rj
+            count -= 1
+    return count
+
+
+def is_spanning_tree(n_nodes: int, edges) -> bool:
+    """True when the links connect all n_nodes nodes with exactly n_nodes - 1 of them."""
+    return len(edges) == n_nodes - 1 and connected_components(n_nodes, edges) == 1
 
 
 def characteristic_polynomial(matrix) -> np.ndarray:

@@ -72,7 +72,7 @@ class TestMazeGen:
         result = run_cli("maze-gen", "--width", 6, "--height", 6, "--seed", 1, "-o", out)
         assert result.returncode == 0
         maze = deserialize(out.read_text())
-        assert len(maze.edges()) == 35
+        assert len(maze.edges) == 35
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -408,6 +408,23 @@ class TestMalformedInputFiles:
             result = run_cli("rl-eval", "--maze", small_maze, *RL_FLAGS, "--policy", policy)
             self.check_exit_2(result, field)
             assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["qsw-run", "-o", "t.csv"], ["rl-train", "--episodes", "1", "--seed", "0", "-o", "c.csv"], ["rl-eval"]],
+        ids=["qsw-run", "rl-train", "rl-eval"],
+    )
+    def test_grid_too_large_to_model_names_its_size(self, argv, tmp_path, monkeypatch, capsys):
+        # 10**10 cells: numpy refuses the (N+1)^2 generator outright, nothing is overcommitted
+        monkeypatch.chdir(tmp_path)
+        Path("huge.json").write_text(
+            '{"width": 100000, "height": 100000, "entrance": 0, "exit": 1, "seed": 0, "edges": [[0, 1]]}'
+        )
+        assert cli.main([*argv, "--maze", "huge.json", "--p", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: maze 100000x100000 is too large: its generator needs ")
+        assert err.endswith(" bytes\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "huge.json"]
 
     def test_model_without_thetas(self, tmp_path):
         bad = tmp_path / "model.json"

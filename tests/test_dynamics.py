@@ -75,6 +75,14 @@ class TestBuildModel:
         padded[:9, :9] = maze.adjacency
         np.testing.assert_array_equal(model.K.imag, -0.5 * padded)
 
+    @pytest.mark.parametrize("width", [2**31, 10**30], ids=["2^31", "10^30"])
+    def test_grid_too_large_names_size_and_bytes(self, width):
+        # numpy refuses both allocations outright ("array is too big", "maximum dimension")
+        maze = MazeGraph(width, 1, [(0, 1)], entrance=0, exit=1, seed=0)
+        needed = 16 * (width + 1) ** 2
+        with pytest.raises(ValueError, match=rf"^maze {width}x1 is too large: its generator needs {needed} bytes$"):
+            build_model(maze, QSWParams(p=0.5))
+
     def test_isolated_node_contributes_no_jumps(self):
         maze = path_maze(3)
         maze = toggle_link(maze, 0, 1)  # node 0 now isolated
@@ -151,7 +159,7 @@ class TestLindbladRhs:
         rng = np.random.default_rng(4)
         for p in (0.0, 0.31, 1.0):
             maze = generate_perfect_maze(3, 3, seed=5)
-            maze = toggle_link(maze, *maze.edges()[2])  # exercise edited topology
+            maze = toggle_link(maze, *maze.edges[2])  # exercise edited topology
             model = build_model(maze, QSWParams(p=p, gamma=0.8))
             rho = random_density_matrix(model.dim, rng)
             np.testing.assert_allclose(
@@ -196,16 +204,13 @@ def edited_mazes(draw):
         maze = generate_perfect_maze(width, height, seed=seed)
     else:  # a one-cell-wide grid has a single spanning tree: all its links
         n = width * height
-        adj = np.zeros((n, n), dtype=np.int8)
-        for i, j in grid_links(width, height):
-            adj[i, j] = adj[j, i] = 1
-        maze = MazeGraph(width, height, adj, entrance=0, exit=n - 1, seed=seed)
+        maze = MazeGraph(width, height, grid_links(width, height), entrance=0, exit=n - 1, seed=seed)
     links = grid_links(width, height)
     for k in draw(st.lists(st.integers(0, len(links) - 1), max_size=6)):
         maze = toggle_link(maze, *links[k])
     if draw(st.booleans()):  # cut one node off completely
         node = draw(st.integers(0, maze.n_nodes - 1))
-        for i, j in maze.edges():
+        for i, j in maze.edges:
             if node in (i, j):
                 maze = toggle_link(maze, i, j)
     return maze
@@ -368,7 +373,7 @@ class TestPSinkFromIntegral:
     def test_zero_exit_occupation_gives_zero(self):
         # cut the exit off completely: rho_nn stays 0, so the integral is 0
         maze = generate_perfect_maze(2, 2, seed=0)
-        for i, j in list(maze.edges()):
+        for i, j in maze.edges:
             if maze.exit in (i, j):
                 maze = toggle_link(maze, i, j)
         model = build_model(maze, QSWParams(p=0.5, dt=0.01, t_final=2.0))

@@ -6,38 +6,36 @@ from hypothesis import strategies as st
 from qmlkit.maze import (
     MazeFormatError,
     MazeGraph,
-    connected_components,
     degrees,
     deserialize,
     generate_perfect_maze,
     grid_adjacent,
     grid_links,
-    is_spanning_tree,
     node_position,
     serialize,
     toggle_link,
 )
 
+from oracles import connected_components, is_spanning_tree
+
 
 def path_maze(n):
     """1 x n maze whose passage graph is the path 0-1-...-(n-1)."""
-    adj = np.zeros((n, n), dtype=np.int8)
-    for i in range(n - 1):
-        adj[i, i + 1] = adj[i + 1, i] = 1
-    return MazeGraph(width=n, height=1, adjacency=adj, entrance=0, exit=n - 1, seed=0)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    return MazeGraph(width=n, height=1, edges=edges, entrance=0, exit=n - 1, seed=0)
 
 
 class TestGeneration:
     def test_2x2_has_three_links(self):
         maze = generate_perfect_maze(2, 2, seed=0)
         assert maze.n_nodes == 4
-        assert len(maze.edges()) == 3
+        assert len(maze.edges) == 3
 
     def test_6x6_is_spanning_tree(self):
         maze = generate_perfect_maze(6, 6, seed=3)
         assert maze.n_nodes == 36
-        assert len(maze.edges()) == 35
-        assert is_spanning_tree(maze)
+        assert len(maze.edges) == 35
+        assert is_spanning_tree(maze.n_nodes, maze.edges)
 
     def test_deterministic(self):
         a = generate_perfect_maze(5, 4, seed=42)
@@ -68,14 +66,15 @@ class TestGeneration:
     @pytest.mark.parametrize("seed", range(5))
     def test_all_links_grid_adjacent(self, seed):
         maze = generate_perfect_maze(5, 6, seed=seed)
-        for i, j in maze.edges():
+        for i, j in maze.edges:
             ri, ci = node_position(maze.width, i)
             rj, cj = node_position(maze.width, j)
             assert abs(ri - rj) + abs(ci - cj) == 1
 
     @pytest.mark.parametrize("seed", range(8))
     def test_tree_property_across_seeds(self, seed):
-        assert is_spanning_tree(generate_perfect_maze(4, 5, seed=seed))
+        maze = generate_perfect_maze(4, 5, seed=seed)
+        assert is_spanning_tree(maze.n_nodes, maze.edges)
 
 
 class TestDegrees:
@@ -94,37 +93,53 @@ class TestDegrees:
         maze = generate_perfect_maze(2, 2, seed=seed)
         assert sorted(degrees(maze)) == [1, 1, 2, 2]
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        width=st.integers(2, 5),
+        height=st.integers(2, 5),
+        seed=st.integers(0, 2**16),
+        toggles=st.lists(st.integers(0, 39), max_size=8),
+    )
+    def test_dense_views_agree_with_the_edges(self, width, height, seed, toggles):
+        maze = generate_perfect_maze(width, height, seed=seed)
+        links = grid_links(width, height)
+        for k in toggles:
+            maze = toggle_link(maze, *links[k % len(links)])
+        adj = maze.adjacency
+        np.testing.assert_array_equal(degrees(maze), adj.sum(axis=0))
+        assert list(zip(*np.nonzero(np.triu(adj)))) == list(maze.edges)
+
 
 class TestToggleLink:
     def test_involution(self):
         maze = generate_perfect_maze(4, 4, seed=2)
-        i, j = maze.edges()[0]
+        i, j = maze.edges[0]
         back = toggle_link(toggle_link(maze, i, j), i, j)
         np.testing.assert_array_equal(back.adjacency, maze.adjacency)
 
     def test_original_unmodified(self):
         maze = generate_perfect_maze(3, 3, seed=1)
-        i, j = maze.edges()[0]
+        i, j = maze.edges[0]
         toggle_link(maze, i, j)
         assert maze.adjacency[i, j] == 1
 
     def test_removing_tree_edge_disconnects(self):
         maze = generate_perfect_maze(4, 4, seed=5)
-        i, j = maze.edges()[0]
+        i, j = maze.edges[0]
         cut = toggle_link(maze, i, j)
-        assert connected_components(cut) == 2
+        assert connected_components(cut.n_nodes, cut.edges) == 2
 
     def test_adding_edge_creates_one_cycle(self):
         maze = generate_perfect_maze(4, 4, seed=5)
-        present = set(maze.edges())
+        present = set(maze.edges)
         absent = next(p for p in grid_links(4, 4) if p not in present)
         looped = toggle_link(maze, *absent)
-        assert len(looped.edges()) == maze.n_nodes  # N edges on N nodes
-        assert connected_components(looped) == 1  # connected + 1 extra edge = 1 cycle
+        assert len(looped.edges) == maze.n_nodes  # N edges on N nodes
+        assert connected_components(looped.n_nodes, looped.edges) == 1  # connected + 1 extra edge = 1 cycle
 
     def test_only_the_pair_changes(self):
         maze = generate_perfect_maze(5, 5, seed=7)
-        i, j = maze.edges()[3]
+        i, j = maze.edges[3]
         flipped = toggle_link(maze, i, j)
         diff = maze.adjacency.astype(int) - flipped.adjacency.astype(int)
         assert set(zip(*np.nonzero(diff))) == {(i, j), (j, i)}
@@ -140,61 +155,55 @@ class TestToggleLink:
             toggle_link(maze, 4, 4)
 
 
-def _adjacency(width, height, entries):
-    """width x height cell adjacency holding the given (i, j, value) entries, zero elsewhere."""
-    adj = np.zeros((width * height, width * height))
-    for i, j, value in entries:
-        adj[i, j] = value
-    return adj
-
-
 @st.composite
 def grid_and_links(draw):
-    """A 1x2-5x5 grid and a set of links (i < j) mixing near pairs, row wraps and arbitrary pairs."""
+    """A 1x2-5x5 grid and a set of links (i < j), in any order, mixing near pairs, row wraps and arbitrary pairs."""
     width = draw(st.integers(1, 5))
     height = draw(st.integers(2 if width == 1 else 1, 5))
     n = width * height
     near = [(i, i + d) for d in (1, width) for i in range(n - d)]  # includes row wraps
     arbitrary = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
     links = draw(st.sets(st.sampled_from(near) | arbitrary, max_size=2 * n))
-    return width, height, sorted(links)
+    return width, height, draw(st.permutations(sorted(links)))
 
 
 class TestMazeGraphValidation:
-    @pytest.mark.parametrize("value", [0.5, 257, -255, np.nan])
-    def test_rejects_entries_other_than_0_or_1(self, value):
-        adj = _adjacency(2, 2, [(0, 1, value), (1, 0, value)])
-        with pytest.raises(ValueError, match="entries must be 0 or 1"):
-            MazeGraph(2, 2, adj, entrance=0, exit=3, seed=0)
-
     @pytest.mark.parametrize(
-        "width, height, entries, message",
+        "width, height, edges, message",
         [
-            (2, 2, [(0, 1, 1)], "must be symmetric"),
-            (2, 2, [(0, 1, 1), (1, 0, 1), (2, 2, 1)], "diagonal must be zero"),
-            (2, 2, [(0, 1, 1), (1, 0, 1), (0, 3, 1), (3, 0, 1)], r"link \(0,3\) does not join grid-adjacent"),
+            (2, 2, [(0, 1), (2, 2)], r"edges\[1\]: pair \(2,2\) must satisfy i < j"),
+            (2, 2, [(0, 1), (0, 3)], r"edges\[1\]: cells \(0,3\) are not grid-adjacent"),
             # cells 2 and 3 end and start a row on a width-3 grid; (3, 5) is also bad but later
-            (3, 2, [(2, 3, 1), (3, 2, 1), (3, 5, 1), (5, 3, 1)], r"link \(2,3\) does not join grid-adjacent"),
+            (3, 2, [(2, 3), (3, 5)], r"edges\[0\]: cells \(2,3\) are not grid-adjacent"),
+            (2, 2, [(0, 1), (1, 3), (0, 1)], r"edges\[2\]: duplicate link \(0,1\)"),
+            (2, 2, [(0, 1), (2, 0)], r"edges\[1\]: pair \(2,0\) must satisfy i < j"),
+            (2, 2, [(3, 4)], r"edges\[0\]: node pair \(3,4\) out of range for 4 cells"),
+            (2, 2, [(-1, 0)], r"edges\[0\]: node pair \(-1,0\) out of range"),
         ],
-        ids=["asymmetric", "diagonal", "non-grid", "row-wrap"],
+        ids=["diagonal", "non-grid", "row-wrap", "duplicate", "reversed", "out-of-range", "negative"],
     )
-    def test_rejects_invalid_adjacency(self, width, height, entries, message):
-        adj = _adjacency(width, height, entries)
+    def test_rejects_invalid_adjacency(self, width, height, edges, message):
         with pytest.raises(ValueError, match=message):
-            MazeGraph(width, height, adj, entrance=0, exit=width * height - 1, seed=0)
+            MazeGraph(width, height, edges, entrance=0, exit=width * height - 1, seed=0)
 
     @settings(max_examples=200, deadline=None)
     @given(case=grid_and_links())
     def test_accepts_exactly_grid_adjacent_links(self, case):
         width, height, links = case
-        adj = _adjacency(width, height, [(i, j, 1) for i, j in links] + [(j, i, 1) for i, j in links])
-        bad = [(i, j) for i, j in links if not grid_adjacent(width, height, i, j)]
+        bad = [(k, i, j) for k, (i, j) in enumerate(links) if not grid_adjacent(width, height, i, j)]
         if bad:
-            with pytest.raises(ValueError, match=r"link \(%d,%d\) does not join" % bad[0]):
-                MazeGraph(width, height, adj, entrance=0, exit=width * height - 1, seed=0)
+            with pytest.raises(ValueError, match=r"edges\[%d\]: cells \(%d,%d\) are not grid-adjacent" % bad[0]):
+                MazeGraph(width, height, links, entrance=0, exit=width * height - 1, seed=0)
         else:
-            maze = MazeGraph(width, height, adj, entrance=0, exit=width * height - 1, seed=0)
-            assert maze.edges() == links
+            maze = MazeGraph(width, height, links, entrance=0, exit=width * height - 1, seed=0)
+            assert maze.edges == tuple(sorted(links))
+
+    def test_huge_grid_parses_without_a_dense_array(self):
+        for width in (2**31, 10**30):
+            maze = MazeGraph(width, 1, [(width - 2, width - 1), (0, 1)], entrance=0, exit=width - 1, seed=0)
+            text = serialize(maze)
+            assert deserialize(text) == maze
+            assert maze.edges == ((0, 1), (width - 2, width - 1))
 
 
 class TestGridHelpers:
@@ -218,7 +227,7 @@ class TestSerialization:
 
     def test_round_trip_after_edits(self):
         maze = generate_perfect_maze(4, 4, seed=1)
-        maze = toggle_link(maze, *maze.edges()[0])  # no longer a tree
+        maze = toggle_link(maze, *maze.edges[0])  # no longer a tree
         assert deserialize(serialize(maze)) == maze
 
     def test_empty_document_rejected(self):

@@ -79,12 +79,12 @@ class TestReset:
 
     def test_adjacency_bits_match_base_maze(self, env):
         env.reset()
-        assert env.state_key()[1] == tuple(env.base_maze.edges())
+        assert env.state_key()[1] == env.base_maze.edges
 
     def test_same_seed_same_observation(self, env):
         a = env.reset()
         key = env.state_key()
-        env.step(Action.toggle(*env.base_maze.edges()[0]))
+        env.step(Action.toggle(*env.base_maze.edges[0]))
         b = env.reset()
         np.testing.assert_array_equal(a.matrix, b.matrix)
         assert env.state_key() == key
@@ -104,7 +104,7 @@ class TestStep:
         assert len(record.rewards) == env.max_actions
 
     def test_disconnecting_entrance_hurts(self, env):
-        entrance_edges = [e for e in env.base_maze.edges() if 0 in e]
+        entrance_edges = [e for e in env.base_maze.edges if 0 in e]
         assert len(entrance_edges) == 1  # this maze's entrance is a leaf
         baseline = run_episode(env, Policy.noop()).final_p_sink
         env.reset()
@@ -136,7 +136,7 @@ class TestStep:
 
     def test_toggle_updates_state_key(self, env):
         env.reset()
-        edge = env.base_maze.edges()[0]
+        edge = env.base_maze.edges[0]
         env.step(Action.toggle(*edge))
         step_index, edges = env.state_key()
         assert step_index == 1
@@ -170,7 +170,7 @@ class TestStateContract:
         state = env.reset()
         assert isinstance(state, DensityMatrix)
         assert state.populations[-1] == env.current_p_sink()
-        action = Action.toggle(*env.base_maze.edges()[0])
+        action = Action.toggle(*env.base_maze.edges[0])
         first, _, _ = env.step(action)
         assert isinstance(first, DensityMatrix) and first is env._memo[(action.link,)]
         with pytest.raises(ValueError):
@@ -217,7 +217,7 @@ def maze_and_episodes(draw):
     maze = generate_perfect_maze(draw(st.integers(2, 4)), draw(st.integers(2, 4)), seed=draw(st.integers(0, 2**16)))
     env = MazeEnv(maze, MEMO_PARAMS, action_period=0.5, max_actions=3)
     leaf = int(np.flatnonzero(degrees(maze) == 1)[0])
-    leaf_edge = next(e for e in maze.edges() if leaf in e)
+    leaf_edge = next(e for e in maze.edges if leaf in e)
     others = draw(st.lists(st.sampled_from(env.action_space[1:]), min_size=2, max_size=2))
     alphabet = [Action.noop(), Action.toggle(*leaf_edge), *others]
     episode = st.lists(st.sampled_from(alphabet), min_size=env.max_actions, max_size=env.max_actions)
@@ -244,7 +244,7 @@ class TestMemo:
         np.testing.assert_array_equal(curve_0.running_avg, curve.running_avg)
 
     def test_failed_step_commits_nothing(self, env, monkeypatch):
-        actions = [Action.noop(), Action.toggle(*env.base_maze.edges()[0]), Action.noop(), Action.noop()]
+        actions = [Action.noop(), Action.toggle(*env.base_maze.edges[0]), Action.noop(), Action.noop()]
         expected = _rollout(MazeEnv(env.base_maze, PARAMS, env.action_period, env.max_actions), actions)
         propagate = rlmaze.propagate
         armed = []
@@ -349,7 +349,7 @@ class TestPolicyJson:
     def test_check_policy_rejects_unreachable_keys(self, env):
         policy, _ = train(env, QLearningConfig(), episodes=3, seed=5)
         env.check_policy(policy)
-        edges = tuple(env.base_maze.edges())
+        edges = env.base_maze.edges
         for key, action, message in (
             ((4, edges), Action.noop(), "step 4"),
             ((1, edges + ((0, 8),)), Action.noop(), "0-8 is not a grid link"),
