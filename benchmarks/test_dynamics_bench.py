@@ -12,8 +12,15 @@ and 100 steps per action interval. The state fed to ``_rhs``,
 ``_rk4_step`` and ``DensityMatrix`` is the walker after one interval,
 spread over the maze, not the entrance projector. ``_rhs`` and
 ``_rk4_step`` run on its real form R = Re rho + Im rho with buffers
-built once, as ``propagate`` runs them; each timed RK4 step starts from
-a fresh copy of R, since the step works in place.
+built once, as the stepping path of ``propagate`` runs them; each timed
+RK4 step starts from a fresh copy of R, since the step works in place.
+
+``propagate`` itself evaluates a span in a Krylov subspace of the
+generator whenever its stability guard allows, which it does at every
+case here. ``test_propagate_interval`` times the first interval of an
+episode (100 steps from the entrance) and ``test_propagate_tail`` the
+last one, 300 steps from the state after 700, where the walker has
+spread and partly escaped.
 """
 
 import pytest
@@ -64,6 +71,13 @@ def test_propagate_interval(benchmark, case):
     _, _, model, _ = case
     start = initial_state(model)
     out = benchmark.pedantic(propagate, args=(start, model, STEPS), rounds=20)
+    assert out.dim == model.dim
+
+
+def test_propagate_tail(benchmark, case):
+    _, _, model, _ = case
+    start = propagate(initial_state(model), model, 700)
+    out = benchmark.pedantic(propagate, args=(start, model, 300), kwargs={"first_step": 700}, rounds=20)
     assert out.dim == model.dim
 
 

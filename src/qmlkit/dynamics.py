@@ -41,11 +41,26 @@ that form is
 
 whose commutator is the single real product [H_c | R] @ [[R], [-H_c]].
 L is linear and time-invariant, so one RK4 step is exactly its Horner
-form R + dt L(R + dt/2 L(R + dt/3 L(R + dt/4 L(R)))).
+form R + dt L(R + dt/2 L(R + dt/3 L(R + dt/4 L(R)))), the polynomial
+T4(dt L) R with T4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
 
-Integration is fixed-step RK4 for determinism; a step that drifts the
+Integration is fixed-step RK4 for determinism. A span of n steps is the
+polynomial T4(dt L)^n R, which :func:`propagate` evaluates in a Krylov
+subspace of L (Saad 1992; Hochbruck & Lubich 1997): exact in exact
+arithmetic once the subspace holds the 4n + 1 vectors R .. L^{4n} R,
+and in practice stopped after 30-60 applications of L per 100-step span,
+when the coefficient of the newest basis vectors falls to roundoff. It
+agrees with step-by-step RK4 to about 1e-14. That path is taken only
+when dt times a norm bound of L is at most 2.6: the spectrum of L lies in
+Re z <= 0, and |T4| <= 1 on the left half-disk of radius 2.6, so
+stepping is stable there and has no growing component that the Krylov
+subspace would drop. Outside that disk, when the Krylov end state is
+not a valid density matrix, or when its escape probability comes out
+negative (roundoff on a value below the basis's resolution of about
+1e-16 of the state's norm), the span is stepped: a step that drifts the
 trace or produces non-finite values raises :class:`IntegrationError`
-instead of renormalizing.
+instead of renormalizing, and so does an invalid end state, naming the
+first bad step.
 """
 
 import json
@@ -90,6 +105,11 @@ class IntegrationError(RuntimeError):
 
 
 TRACE_DRIFT_LIMIT = 1e-6
+# |T4(z)| <= 1 on the left half-disk |z| <= 2.6 (not on |z| <= 2.7), so RK4
+# is stable there; propagate takes the Krylov path only inside it.
+KRYLOV_RADIUS = 2.6
+KRYLOV_CHECK_EVERY = 4
+ROUNDOFF = np.finfo(float).eps
 
 
 def whole_steps(span: float, dt: float, name: str) -> int:
@@ -269,6 +289,85 @@ def _rk4_step(r: np.ndarray, dt: float, form: _RealForm) -> None:
     r += out
 
 
+def _norm_bound(form: _RealForm) -> float:
+    """An upper bound on L's spectral radius: its norm induced by the largest |R_ij|.
+
+    The commutator contributes at most twice the largest row sum of |H_c|,
+    the damping at most max(delta_i + delta_j) and the gain at most the
+    largest row sum of G.
+    """
+    d = form.rate.shape[0]
+    return 2.0 * np.abs(form.left[:, :d]).sum(axis=1).max() + form.rate.max() + form.gain.sum(axis=1).max()
+
+
+def _t4(a: np.ndarray) -> np.ndarray:
+    """The RK4 polynomial 1 + a + a^2/2 + a^3/6 + a^4/24 of a square matrix, in Horner form."""
+    eye = np.eye(a.shape[0])
+    t = eye + a / 4.0
+    for c in (1.0 / 3.0, 1.0 / 2.0, 1.0):
+        t = eye + c * (a @ t)
+    return t
+
+
+def _powers(t: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
+    """Rows T^k y0 for k = 1..n: the recurrence y <- T y, evaluated by doubling."""
+    ys = np.empty((n, y0.size))
+    ys[0] = t @ y0
+    power, k = t, 1  # power = T^k while k rows are known
+    while k < n:
+        step = min(k, n - k)
+        ys[k : k + step] = ys[:step] @ power.T
+        k += step
+        power = power @ power
+    return ys
+
+
+def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound: float):
+    """Coefficients of T4(dt L)^k R0, k = 1..n_steps, in an Arnoldi basis of L at R0.
+
+    Builds the orthonormal basis v_1 = vec(R0)/||R0||, v_2, ... of the
+    Krylov space of L (classical Gram-Schmidt, applied twice) and its
+    Hessenberg matrix H_m = V^T L V. Since the k-th state is the
+    polynomial T4(dt L)^k R0, it is V T4(dt H_m)^k e1 ||R0||, exact once
+    m reaches min(4 n_steps + 1, d^2) or the space closes (a happy
+    breakdown, ||L v_m - V h|| at roundoff). Every KRYLOV_CHECK_EVERY
+    vectors the basis also stops once the last two coefficients of the
+    end state fall to roundoff relative to the whole. Returns the basis,
+    one flattened matrix per row, and the coefficients, one state per row.
+    """
+    d = r0.shape[0]
+    cap = min(4 * n_steps + 1, d * d)
+    beta = np.linalg.norm(r0)
+    size = min(cap, 64)  # rows allocated; doubled as the basis grows
+    basis = np.empty((size, d * d))
+    hess = np.zeros((size + 1, size))
+    basis[0] = r0.reshape(-1) / beta
+    for m in range(1, cap + 1):
+        form.z[...] = basis[m - 1].reshape(d, d)
+        w = _rhs(form).reshape(-1)
+        v = basis[:m]
+        h = v @ w
+        w = w - h @ v
+        correction = v @ w
+        w -= correction @ v
+        hess[:m, m - 1] = h + correction
+        hess[m, m - 1] = norm = math.sqrt(w @ w)
+        if m == cap or norm <= ROUNDOFF * bound:
+            break
+        if m % KRYLOV_CHECK_EVERY == 0:
+            y = np.linalg.matrix_power(_t4(dt * hess[:m, :m]), n_steps)[:, 0]
+            if math.hypot(*y[-2:]) <= ROUNDOFF * math.sqrt(y @ y):
+                break
+        if m == size:
+            size = min(2 * size, cap)
+            basis = np.pad(basis, ((0, size - m), (0, 0)))
+            hess = np.pad(hess, ((0, size - m), (0, size - m)))
+        basis[m] = w / norm
+    y0 = np.zeros(m)
+    y0[0] = beta
+    return basis[:m], _powers(_t4(dt * hess[:m, :m]), y0, n_steps)
+
+
 def lindblad_rhs(rho, model: LindbladModel) -> np.ndarray:
     """drho/dt for a state of the model's dimension.
 
@@ -297,16 +396,39 @@ def propagate(
 ) -> DensityMatrix:
     """Advance a state by n_steps RK4 steps and validate the result.
 
-    Checks trace conservation after every step and validates the final
-    state as a :class:`DensityMatrix`; any failure raises
+    Within the stability guard (dt times :func:`_norm_bound` at most
+    ``KRYLOV_RADIUS``) the whole span is evaluated by
+    :func:`_krylov_span` and its end state validated as a
+    :class:`DensityMatrix`. Outside the guard, when that validation
+    fails, or when the end state's sink population is negative, the
+    span is stepped: trace conservation is checked after every step and
+    the final state validated, and any failure raises
     :class:`IntegrationError` with the index of the first bad step,
     offset by ``first_step``. When ``exit_trace`` is given (length
-    n_steps) it receives the exit-node occupation after each step.
+    n_steps) it receives the exit-node occupation after each step; its
+    last entry equals the returned state's.
     """
     dt = model.params.dt
     n = model.sink_exit
     form = _RealForm(model)
     r = _to_real(state.matrix)
+    bound = _norm_bound(form)
+    if n_steps > 0 and dt * bound <= KRYLOV_RADIUS:
+        basis, ys = _krylov_span(r, n_steps, dt, form, bound)
+        end = (ys[-1] @ basis).reshape(r.shape)
+        # The basis resolves entries to about 1e-16 of the state's norm, so an
+        # escape probability far below that can come out negative; stepping
+        # builds it from the exit population step by step instead.
+        if end[-1, -1] >= 0.0:
+            try:
+                result = DensityMatrix(_to_complex(end))
+            except ValueError:
+                pass  # stepping below reproduces the failure and names its first bad step
+            else:
+                if exit_trace is not None:
+                    exit_trace[:] = ys @ basis[:, n * r.shape[0] + n]
+                    exit_trace[-1] = end[n, n]
+                return result
     for k in range(n_steps):
         _rk4_step(r, dt, form)
         tr = np.trace(r)

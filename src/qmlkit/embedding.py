@@ -242,29 +242,34 @@ def _loss_and_gradient(model: EmbeddingModel, points: np.ndarray, pairs) -> tupl
     """The loss and its parameter-shift gradient from one embedding call.
 
     Row 0 of the angle stack is the model's; rows 2k + 1 and 2k + 2 shift
-    angle k by +pi/2 and -pi/2. Every set's states are overlapped with the
-    unshifted ones in one (7, n, n) table. Slice 0 gives the exact Gram
-    entries; each angle's overlap derivative combines its two shifted
-    slices, applied to the bra side and, by symmetry, transposed for the ket.
+    angle k by +pi/2 and -pi/2. The unshifted states' overlaps with
+    themselves are the exact Gram entries; angle k's overlap derivative
+    combines the overlaps of its two shifted sets with the unshifted
+    states, applied to the bra side and, by symmetry, transposed for the
+    ket. The n x n tables are formed one angle at a time.
     """
     sets = np.tile(model.thetas, (2 * N_THETAS + 1, 1))
     for k in range(N_THETAS):
         sets[2 * k + 1, k] += SHIFT
         sets[2 * k + 2, k] -= SHIFT
     states = _embed_batch(points, sets)
-    table = _overlap_table(states, states[0])
-    overlap = np.minimum(1.0, table[0])
+    base = states[0]
+    overlap = np.minimum(1.0, _overlap_table(base, base))
     m = 0.5 * (overlap + overlap.T)
-    half_diffs = 0.5 * (table[1::2] - table[2::2])
-    d_grams = half_diffs + half_diffs.transpose(0, 2, 1)
     value, grad = 0.0, np.zeros(N_THETAS)
     (si, sj), (ci, cj) = pairs
     if len(si):
         value += float(np.mean(1.0 - m[si, sj]))
-        grad -= [np.mean(d[si, sj]) for d in d_grams]
     if len(ci):
         value += float(np.mean(m[ci, cj]))
-        grad += [np.mean(d[ci, cj]) for d in d_grams]
+    for k in range(N_THETAS):
+        plus, minus = _overlap_table(states[2 * k + 1 : 2 * k + 3], base)
+        half_diff = 0.5 * (plus - minus)
+        d_gram = half_diff + half_diff.T
+        if len(si):
+            grad[k] -= np.mean(d_gram[si, sj])
+        if len(ci):
+            grad[k] += np.mean(d_gram[ci, cj])
     return value, grad
 
 

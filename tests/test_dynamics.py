@@ -1,9 +1,14 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmlkit import dynamics
 from qmlkit.dynamics import (
+    KRYLOV_RADIUS,
     IntegrationError,
     LindbladModel,
     QSWParams,
@@ -14,8 +19,13 @@ from qmlkit.dynamics import (
     lindblad_rhs,
     p_sink_from_integral,
     propagate,
+    _norm_bound,
+    _RealForm,
+    _rhs,
+    _t4,
 )
 from qmlkit.maze import MazeGraph, generate_perfect_maze, grid_links, toggle_link
+from qmlkit.rlmaze import Action, MazeEnv
 from qmlkit.states import DensityMatrix
 
 from oracles import classical_populations, literal_rhs, literal_rk4, random_density_matrix
@@ -195,10 +205,10 @@ class TestLindbladRhs:
 
 
 @st.composite
-def edited_mazes(draw):
-    """A random perfect maze from 1x2 to 4x4, then random agent toggles."""
-    width = draw(st.integers(1, 4))
-    height = draw(st.integers(2 if width == 1 else 1, 4))
+def edited_mazes(draw, min_side=1, max_side=4):
+    """A random perfect maze from 1x2 (or min_side^2) to max_side^2, then random agent toggles."""
+    width = draw(st.integers(min_side, max_side))
+    height = draw(st.integers(2 if width == 1 else min_side, max_side))
     seed = draw(st.integers(0, 2**16))
     if min(width, height) >= 2:
         maze = generate_perfect_maze(width, height, seed=seed)
@@ -260,6 +270,153 @@ class TestPropagateProperty:
         np.testing.assert_array_equal(out, out.conj().T)
         assert not out.diagonal().imag.any()
         assert exit_trace[-1] == out[maze.exit, maze.exit].real
+
+
+def stepping_only():
+    """Close the Krylov guard, so that :func:`propagate` steps every span: the reference path."""
+    return mock.patch.object(dynamics, "KRYLOV_RADIUS", -1.0)
+
+
+def outcome(call):
+    """The state a call returns, or its IntegrationError's message and fields."""
+    try:
+        return call()
+    except IntegrationError as exc:
+        return (str(exc), exc.step, exc.t, exc.dt, exc.drift, exc.last_good_step)
+
+
+def stepped_outcome(state, model, n_steps, exit_trace=None):
+    with stepping_only():
+        return outcome(lambda: propagate(state, model, n_steps, exit_trace=exit_trace))
+
+
+class TestKrylovSpan:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        maze=edited_mazes(min_side=2, max_side=6),
+        p=st.floats(0.0, 1.0),
+        gamma=st.floats(0.0, 10.0, exclude_min=True),
+        state_seed=st.none() | st.integers(0, 2**32 - 1),
+        n_steps=st.integers(1, 300),
+    )
+    def test_long_span_matches_stepping(self, maze, p, gamma, state_seed, n_steps):
+        # state_seed None starts at the entrance, as every episode does
+        model = build_model(maze, QSWParams(p=p, gamma=gamma, dt=0.1, t_final=30.0))
+        if state_seed is None:
+            start = initial_state(model)
+        else:
+            start = DensityMatrix(random_density_matrix(model.dim, np.random.default_rng(state_seed)))
+        trace, stepped_trace = np.empty(n_steps), np.empty(n_steps)
+        got = outcome(lambda: propagate(start, model, n_steps, exit_trace=trace))
+        expected = stepped_outcome(start, model, n_steps, stepped_trace)
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert isinstance(got, DensityMatrix)
+        np.testing.assert_allclose(got.matrix, expected.matrix, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(trace, stepped_trace, rtol=0, atol=1e-13)
+        assert trace[-1] == got.matrix[maze.exit, maze.exit].real
+
+    @pytest.mark.parametrize(
+        "size, n_steps, message",
+        [(6, 300, r"trace drifted to \S+ at step 76 "), (10, 100, r"invalid state at step 93: ")],
+        ids=["6x6", "10x10"],
+    )
+    def test_guard_leaves_blow_ups_to_stepping(self, size, n_steps, message):
+        # gamma = 20 takes dt times the norm bound to about 8. There RK4
+        # amplifies components that a converged Krylov basis drops: on the
+        # 10x10 maze an unguarded Krylov span returns a valid state.
+        maze = generate_perfect_maze(size, size, seed=7)
+        model = build_model(maze, QSWParams(p=0.8, gamma=20.0, dt=0.1, t_final=30.0))
+        assert 0.1 * _norm_bound(_RealForm(model)) > KRYLOV_RADIUS
+        got = outcome(lambda: propagate(initial_state(model), model, n_steps))
+        assert isinstance(got, tuple) and re.match(message, got[0])
+        assert got == stepped_outcome(initial_state(model), model, n_steps)
+
+    def test_escape_probability_below_basis_resolution_is_stepped(self):
+        # The 7th interval of this criterion-5 episode ends with p_sink near
+        # 2e-20, below the Krylov basis's resolution, where the basis gives
+        # -1.1e-19; propagate steps such a span.
+        params = QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0)
+        maze = generate_perfect_maze(6, 6, seed=8)
+        links = [(14, 15), (29, 35), None, (7, 13), (14, 20), (12, 13)]
+        env = MazeEnv(maze, params, 10.0, 8)
+        env.reset()
+        for link in links:
+            start = env.step(Action(link))[0]
+            maze = maze if link is None else toggle_link(maze, *link)
+        model = build_model(maze, params)
+        out = propagate(start, model, 100, first_step=600)
+        assert 0.0 <= out.matrix[-1, -1].real < 1e-18
+        assert out.matrix[-1, -1] == stepped_outcome(start, model, 100).matrix[-1, -1]
+
+    def test_t4_contracts_on_the_guarded_half_disk_only(self):
+        def largest_t4(radius):
+            # by the maximum modulus principle |T4| peaks on the half-disk's boundary
+            arc = radius * np.exp(1j * np.linspace(np.pi / 2, 3 * np.pi / 2, 20001))
+            z = np.concatenate([arc, 1j * np.linspace(-radius, radius, 20001)])
+            return np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24).max()
+
+        assert largest_t4(KRYLOV_RADIUS) <= 1.0 + 1e-15  # |T4(z)| = 1 + O(|z|^6) near z = 0
+        assert largest_t4(2.7) > 1.1
+        z = np.linspace(-2.6, 0.0, 7) + 1j * np.linspace(0.0, 2.0, 7)
+        np.testing.assert_allclose(np.diag(_t4(np.diag(z))), 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24, atol=1e-15)
+
+    @pytest.mark.parametrize("p, gamma", [(0.0, 1.0), (0.31, 0.7), (0.8, 1.0), (1.0, 10.0)])
+    def test_norm_bound_exceeds_spectral_radius(self, p, gamma):
+        model = build_model(generate_perfect_maze(3, 3, seed=2), QSWParams(p=p, gamma=gamma))
+        form = _RealForm(model)
+        d = model.dim
+        columns = []
+        for unit in np.eye(d * d):
+            form.z[...] = unit.reshape(d, d)
+            columns.append(_rhs(form).ravel().copy())
+        spectrum = np.linalg.eigvals(np.array(columns).T)
+        assert np.abs(spectrum).max() < _norm_bound(form)
+        assert spectrum.real.max() <= 1e-12  # a Lindblad spectrum lies in Re z <= 0
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    @pytest.mark.parametrize("dt", [0.02, 0.1])
+    def test_single_step_matches_complex_rk4_oracle(self, size, dt):
+        # one step is a degree-4 polynomial of L, exact only with 4 + 1 basis vectors
+        maze = generate_perfect_maze(size, size, seed=3)
+        for p in (0.31, 1.0):
+            model = build_model(maze, QSWParams(p=p, gamma=0.7, dt=dt, t_final=1.0))
+            rho = random_density_matrix(model.dim, np.random.default_rng(size))
+            out = propagate(DensityMatrix(rho), model, 1).matrix
+            expected = literal_rk4(rho, maze.adjacency, p, 0.7, maze.exit, dt, 1)
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13)
+
+    def test_interval_applies_the_generator_far_fewer_times_than_stepping(self):
+        # stepping applies L 4 times a step: 400 times on a 100-step action interval
+        maze = generate_perfect_maze(6, 6, seed=1)
+        model = build_model(maze, QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0))
+        with mock.patch.object(dynamics, "_rhs", wraps=_rhs) as counted:
+            propagate(initial_state(model), model, 100)
+        assert counted.call_count <= 60
+
+    def test_exit_trace_of_300_step_span_matches_stepping(self):
+        # the last action interval of a criterion-5 episode: steps 700..1000
+        maze = generate_perfect_maze(6, 6, seed=1)
+        model = build_model(maze, QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0))
+        start = propagate(initial_state(model), model, 700)
+        trace, stepped_trace = np.empty(300), np.empty(300)
+        out = propagate(start, model, 300, first_step=700, exit_trace=trace)
+        stepped = stepped_outcome(start, model, 300, stepped_trace)
+        np.testing.assert_allclose(out.matrix, stepped.matrix, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(trace, stepped_trace, rtol=0, atol=1e-13)
+        assert trace[-1] == out.matrix[maze.exit, maze.exit].real
+
+    def test_integral_definition_agrees_over_one_300_step_span(self):
+        maze = generate_perfect_maze(3, 3, seed=1)
+        model = build_model(maze, QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=30.0))
+        traj = evolve(initial_state(model), model, sample_every=300)
+        integral = p_sink_from_integral(traj, model)
+        assert traj.final_p_sink() > 0.4
+        assert np.max(np.abs(integral - traj.p_sink_series)) <= 1e-5
+        with stepping_only():
+            stepped = evolve(initial_state(model), model, sample_every=300)
+        np.testing.assert_allclose(integral, p_sink_from_integral(stepped, model), rtol=0, atol=1e-13)
 
 
 class TestInitialState:
