@@ -46,26 +46,33 @@ T4(dt L) R with T4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
 
 Integration is fixed-step RK4 for determinism. A span of n steps is the
 polynomial T4(dt L)^n R, which :func:`propagate` evaluates in a Krylov
-subspace of L (Saad 1992; Hochbruck & Lubich 1997): exact in exact
-arithmetic once the subspace holds the 4n + 1 vectors R .. L^{4n} R,
-and in practice stopped after 30-60 applications of L per 100-step span,
-when the coefficient of the newest basis vectors falls to roundoff. It
-agrees with step-by-step RK4 to about 1e-14. That path is taken only
-when dt times a norm bound of L is at most 2.6: the spectrum of L lies in
-Re z <= 0, and |T4| <= 1 on the left half-disk of radius 2.6, so
-stepping is stable there and has no growing component that the Krylov
-subspace would drop. Outside that disk, when the Krylov end state is
-not a valid density matrix, or when its escape probability comes out
-negative (roundoff on a value below the basis's resolution of about
-1e-16 of the state's norm), the span is stepped: a step that drifts the
-trace or produces non-finite values raises :class:`IntegrationError`
-instead of renormalizing, and so does an invalid end state, naming the
-first bad step.
+subspace of L (Saad 1992; Hochbruck & Lubich 1997) wherever that is
+predicted to cost less than stepping. The basis holds the polynomial
+exactly once it has 4n + 1 vectors and stops earlier, when the
+coefficients of its newest vectors fall to roundoff, so the result
+agrees with step-by-step RK4 to about 1e-14. Its size is predicted
+before it is built, from the Hochbruck-Lubich error bounds and the
+widths of the coherent and dissipative parts of L's spectrum: a
+100-step interval at p = 0.8 needs about 35 vectors where stepping
+applies L 400 times, but at p = 0.05 it needs about 80, whose
+Gram-Schmidt passes cost more than stepping, so that span is stepped.
+A span longer than one basis of at most KRYLOV_MAX_BASIS vectors covers
+is split. The Krylov path is taken only when dt times a norm bound of L
+is at most 2.6: the spectrum of L lies in Re z <= 0, and |T4| <= 1 on
+the left half-disk of radius 2.6, so stepping is stable there and has
+no growing component that the Krylov subspace would drop. Outside that
+disk, when a Krylov state is not a valid density matrix, or when its
+escape probability comes out negative (roundoff on a value below the
+basis's resolution of about 1e-16 of the state's norm), the span is
+stepped: a step that drifts the trace or produces non-finite values
+raises :class:`IntegrationError` instead of renormalizing, and so does
+an invalid end state, naming the first bad step.
 """
 
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -108,7 +115,16 @@ TRACE_DRIFT_LIMIT = 1e-6
 # |T4(z)| <= 1 on the left half-disk |z| <= 2.6 (not on |z| <= 2.7), so RK4
 # is stable there; propagate takes the Krylov path only inside it.
 KRYLOV_RADIUS = 2.6
+# The largest Arnoldi basis, and the fewest new vectors between two checks
+# of its convergence.
+KRYLOV_MAX_BASIS = 120
 KRYLOV_CHECK_EVERY = 4
+# The two paths' work is compared in flops. A NumPy call's fixed overhead
+# counts as CALL_FLOPS, and a byte that Gram-Schmidt streams from the basis
+# as one flop, since those passes are memory-bound (both fitted to timings
+# of _rhs, RK4 steps and Gram-Schmidt passes at d = 10-101 on one x86-64
+# core with OpenBLAS).
+CALL_FLOPS = 35_000
 ROUNDOFF = np.finfo(float).eps
 
 
@@ -181,6 +197,12 @@ class LindbladModel:
     def sink(self) -> int:
         """Basis index of the sink state (last index)."""
         return self.dim - 1
+
+    @cached_property
+    def _coherent_width(self) -> float:
+        """Half the spread of H_c's spectrum: a quarter of the width of the commutator's."""
+        levels = np.linalg.eigvalsh(-self.K.imag)
+        return float(levels[-1] - levels[0]) / 2
 
     def without_sink(self) -> "LindbladModel":
         """The same model with Gamma left out of K and G (validation mode)."""
@@ -322,26 +344,142 @@ def _powers(t: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
     return ys
 
 
+def _rhs_cost(d: int) -> int:
+    """Work of one application of L: the d x 2d x d commutator product and six NumPy calls."""
+    return 4 * d**3 + 6 * CALL_FLOPS
+
+
+def _step_cost(d: int) -> int:
+    """Work of one RK4 step: four applications of L and eight more NumPy calls."""
+    return 4 * _rhs_cost(d) + 8 * CALL_FLOPS
+
+
+def _vector_cost(m: int, d: int) -> int:
+    """Work of the (m+1)-th Arnoldi vector: L, and two Gram-Schmidt passes over m vectors.
+
+    The passes take 8 m d^2 flops and stream 32 m d^2 bytes.
+    """
+    return _rhs_cost(d) + 40 * m * d * d + 9 * CALL_FLOPS
+
+
+def _power_cost(m: int, n_steps: int) -> int:
+    """Work of T4(dt H_m) in Horner form and its n_steps-th power by repeated squaring."""
+    products = 1 + n_steps.bit_length() + n_steps.bit_count()
+    return products * (2 * m**3 + 2 * CALL_FLOPS)
+
+
+def _span_cost(m: int, n_steps: int, d: int) -> int:
+    """Work of a Krylov span of n_steps steps with m basis vectors, two checks and its states."""
+    vectors = m * _vector_cost(0, d) + 20 * m * (m + 1) * d * d
+    return vectors + 3 * _power_cost(m, n_steps) + 2 * n_steps * m * m
+
+
+_SIZES = np.arange(1.0, KRYLOV_MAX_BASIS + 1)
+_LOG_SIZES = np.log(_SIZES)
+
+
+def _basis_estimate(coherent: float, dissipative: float) -> int | None:
+    """A priori size of the basis that resolves exp(tau L) R to roundoff, or None if over KRYLOV_MAX_BASIS.
+
+    ``coherent`` and ``dissipative`` are x = tau rho for the two parts of
+    L, whose spectra lie in intervals of length 4 rho on the imaginary and
+    the negative real axis. Hochbruck & Lubich (1997) bound the error of m
+    vectors, relative to ||R||, by 12 exp(-x^2/m) (e x/m)^m for m >= 2x in
+    the skew-Hermitian case (Theorem 4) and by 10 exp(-m^2/(5x)) for
+    sqrt(4x) <= m <= 2x, (10/x) exp(-x) (e x/m)^m for m >= 2x, in the
+    Hermitian one (Theorem 2). The estimate is the smallest m for which
+    both fall below machine epsilon. L is neither, but on the mazes and
+    walks here it comes within about 15 % of the measured size while the
+    coherent part dominates, and overshoots it otherwise.
+    """
+    m, log_m = _SIZES, _LOG_SIZES
+    floor = math.log(ROUNDOFF)
+    ok = np.ones(m.size, dtype=bool)
+    x = coherent
+    if x > 0.0:
+        ok &= (m >= 2 * x) & (math.log(12) - x * x / m + m * (1 + math.log(x) - log_m) <= floor)
+    x = dissipative
+    if x > 0.0:
+        tail = math.log(10) - math.log(x) - x + m * (1 + math.log(x) - log_m)
+        within = m <= 2 * x
+        tail[within] = math.log(10) - m[within] ** 2 / (5 * x)
+        ok &= (m * m >= 4 * x) & (tail <= floor)
+    return int(m[ok.argmax()]) if ok.any() else None
+
+
+@lru_cache(maxsize=4096)  # models built from mazes of one size share most widths
+def _krylov_target(n_steps: int, dt: float, widths: tuple[float, float], d: int) -> int:
+    """Steps the next Krylov basis should cover; 0 when stepping them is predicted to cost less.
+
+    The longest span of at most n_steps steps whose basis, by
+    :func:`_basis_estimate` or its exact size min(4n + 1, d^2), fits in
+    KRYLOV_MAX_BASIS, if its :func:`_span_cost` per step is below
+    :func:`_step_cost`. ``widths`` are the quarter widths of L's spectrum
+    along the imaginary and the real axis, per unit time.
+    """
+
+    def size(n: int) -> int:
+        exact = min(4 * n + 1, d * d)
+        m = _basis_estimate(widths[0] * n * dt, widths[1] * n * dt)
+        return exact if m is None or m > exact else m
+
+    fits, too_long = 0, n_steps + 1  # size grows with n: bisect for the longest span that fits
+    n = n_steps
+    while n > fits:
+        m = size(n)
+        if m <= KRYLOV_MAX_BASIS:
+            fits, m_fits = n, m
+        else:
+            too_long = n
+        n = (fits + too_long) // 2
+    return fits if fits and _span_cost(m_fits, fits, d) < fits * _step_cost(d) else 0
+
+
+def _resolved_steps(ys: np.ndarray, m: int) -> int:
+    """Length of the leading run of states whose last two coefficients are at roundoff.
+
+    At least (m - 1) // 4: those states are polynomials of degree at most
+    m - 1 in L, which the basis holds exactly.
+    """
+    tail = np.linalg.norm(ys[:, -2:], axis=1) > ROUNDOFF * np.linalg.norm(ys, axis=1)
+    first = int(np.argmax(tail)) if tail.any() else len(ys)
+    return max(first, (m - 1) // 4)
+
+
 def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound: float):
-    """Coefficients of T4(dt L)^k R0, k = 1..n_steps, in an Arnoldi basis of L at R0.
+    """Coefficients of T4(dt L)^k R0 for k = 1, 2, ..., in an Arnoldi basis of L at R0.
 
     Builds the orthonormal basis v_1 = vec(R0)/||R0||, v_2, ... of the
     Krylov space of L (classical Gram-Schmidt, applied twice) and its
-    Hessenberg matrix H_m = V^T L V. Since the k-th state is the
-    polynomial T4(dt L)^k R0, it is V T4(dt H_m)^k e1 ||R0||, exact once
-    m reaches min(4 n_steps + 1, d^2) or the space closes (a happy
-    breakdown, ||L v_m - V h|| at roundoff). Every KRYLOV_CHECK_EVERY
-    vectors the basis also stops once the last two coefficients of the
-    end state fall to roundoff relative to the whole. Returns the basis,
-    one flattened matrix per row, and the coefficients, one state per row.
+    Hessenberg matrix H_m = V^T L V. The k-th state T4(dt L)^k R0 is
+    V T4(dt H_m)^k e1 ||R0||: exact once m reaches 4k + 1 or the space
+    closes (a happy breakdown, ||L v_m - V h|| at roundoff), and resolved
+    before that when its last two coefficients fall below machine epsilon
+    times its norm.
+
+    The end state is checked once KRYLOV_CHECK_EVERY vectors, and as much
+    work as the check's own (:func:`_power_cost`), have been added since
+    the last check. The basis stops growing when the end state is
+    resolved; at min(4 n_steps + 1, d^2) vectors, where it is exact; at
+    KRYLOV_MAX_BASIS vectors; or when one more vector
+    (:func:`_vector_cost`) would take its work past that of stepping the
+    span (:func:`_step_cost` per step).
+
+    Returns the basis, one flattened matrix per row; the coefficients of
+    the leading states it resolves, one state per row (all n_steps unless
+    it stopped short, possibly none); and whether the work budget stopped
+    it, in which case the rest of the span is cheaper to step.
     """
     d = r0.shape[0]
-    cap = min(4 * n_steps + 1, d * d)
+    budget = n_steps * _step_cost(d)
+    exact = min(4 * n_steps + 1, d * d)
+    cap = min(exact, KRYLOV_MAX_BASIS)
     beta = np.linalg.norm(r0)
-    size = min(cap, 64)  # rows allocated; doubled as the basis grows
-    basis = np.empty((size, d * d))
-    hess = np.zeros((size + 1, size))
+    basis = np.empty((cap, d * d))
+    hess = np.zeros((cap + 1, cap))
     basis[0] = r0.reshape(-1) / beta
+    spent = unchecked = checked = 0
+    resolved = over_budget = False
     for m in range(1, cap + 1):
         form.z[...] = basis[m - 1].reshape(d, d)
         w = _rhs(form).reshape(-1)
@@ -352,20 +490,110 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
         w -= correction @ v
         hess[:m, m - 1] = h + correction
         hess[m, m - 1] = norm = math.sqrt(w @ w)
-        if m == cap or norm <= ROUNDOFF * bound:
+        work = _vector_cost(m, d)
+        spent += work
+        unchecked += work
+        if m == exact or norm <= ROUNDOFF * bound:
+            resolved = True
             break
-        if m % KRYLOV_CHECK_EVERY == 0:
+        check = _power_cost(m, n_steps)
+        if m - checked >= KRYLOV_CHECK_EVERY and unchecked >= check:
+            spent += check
+            unchecked, checked = 0, m
             y = np.linalg.matrix_power(_t4(dt * hess[:m, :m]), n_steps)[:, 0]
             if math.hypot(*y[-2:]) <= ROUNDOFF * math.sqrt(y @ y):
+                resolved = True
                 break
-        if m == size:
-            size = min(2 * size, cap)
-            basis = np.pad(basis, ((0, size - m), (0, 0)))
-            hess = np.pad(hess, ((0, size - m), (0, size - m)))
+        if m == cap:
+            break
+        if spent + work > budget:  # the next vector costs more than this one
+            over_budget = True
+            break
         basis[m] = w / norm
     y0 = np.zeros(m)
     y0[0] = beta
-    return basis[:m], _powers(_t4(dt * hess[:m, :m]), y0, n_steps)
+    ys = _powers(_t4(dt * hess[:m, :m]), y0, n_steps)
+    if not resolved:
+        ys = ys[: _resolved_steps(ys, m)]
+    return basis[:m], ys, over_budget
+
+
+def _validated(r: np.ndarray) -> DensityMatrix | None:
+    """The state R holds, or None if it fails validation or has a negative population.
+
+    The Krylov basis resolves entries to about 1e-16 of the state's norm,
+    so a population far below that, such as an escape probability or an
+    exit population near 1e-20, can come out negative, and stepping on
+    from a negative exit population drives the escape probability below
+    zero; stepping builds such populations step by step instead.
+    """
+    if not np.all(r.diagonal() >= 0.0):
+        return None
+    try:
+        return DensityMatrix(_to_complex(r))
+    except ValueError:
+        return None
+
+
+def _krylov_states(
+    state: DensityMatrix, model: LindbladModel, form: _RealForm, bound: float, n_steps: int, every: int,
+    exit_trace: np.ndarray,
+) -> list[DensityMatrix]:
+    """Validated states at steps every, 2 every, ..., n_steps, from Krylov spans where they pay.
+
+    Each basis from :func:`_krylov_span` covers the steps that
+    :func:`_krylov_target` picks and advances the state to the last step
+    it resolves, where the next basis starts. The rest is stepped, after
+    a basis that its work budget stopped or when no further basis is
+    predicted to pay; when not even the first one is, nothing is returned
+    and the caller steps the span. Returns the states up to,
+    not including, the first that fails :func:`_validated` or whose
+    stepping drifts the trace; ``exit_trace`` holds the exit occupation
+    up to the last returned state, each sample's entry equal to that
+    state's.
+    """
+    d = model.dim
+    dt = model.params.dt
+    exit_index = model.sink_exit
+    dissipative = (form.rate.max() + form.gain.sum(axis=1).max()) / 4
+    samples = [*range(every, n_steps, every), n_steps]
+    states = []
+    r = _to_real(state.matrix)
+    done = 0
+    # A span whose basis costs more than stepping even without the coherent
+    # part is stepped before that part's width (an eigendecomposition) is needed.
+    step_rest = not _krylov_target(n_steps, dt, (0.0, dissipative), d)
+    while done < n_steps and not step_rest:
+        target = _krylov_target(n_steps - done, dt, (model._coherent_width, dissipative), d)
+        if not target:
+            break
+        basis, ys, step_rest = _krylov_span(r, target, dt, form, bound)
+        if not len(ys):
+            break
+        exit_trace[done : done + len(ys)] = ys @ basis[:, exit_index * (d + 1)]
+        while len(states) < len(samples) and samples[len(states)] <= done + len(ys):
+            step = samples[len(states)]
+            end = (ys[step - done - 1] @ basis).reshape(d, d)
+            result = _validated(end)
+            if result is None:
+                return states
+            exit_trace[step - 1] = end[exit_index, exit_index]
+            states.append(result)
+        r = (ys[-1] @ basis).reshape(d, d)
+        done += len(ys)
+    if not done:
+        return states  # no basis pays: the caller steps every chunk
+    for step in range(done + 1, n_steps + 1):
+        _rk4_step(r, dt, form)
+        if not abs(np.trace(r) - 1.0) <= TRACE_DRIFT_LIMIT:
+            return states
+        exit_trace[step - 1] = r[exit_index, exit_index]
+        if step == samples[len(states)]:
+            result = _validated(r)
+            if result is None:
+                return states
+            states.append(result)
+    return states
 
 
 def lindblad_rhs(rho, model: LindbladModel) -> np.ndarray:
@@ -397,38 +625,56 @@ def propagate(
     """Advance a state by n_steps RK4 steps and validate the result.
 
     Within the stability guard (dt times :func:`_norm_bound` at most
-    ``KRYLOV_RADIUS``) the whole span is evaluated by
-    :func:`_krylov_span` and its end state validated as a
-    :class:`DensityMatrix`. Outside the guard, when that validation
-    fails, or when the end state's sink population is negative, the
-    span is stepped: trace conservation is checked after every step and
-    the final state validated, and any failure raises
+    ``KRYLOV_RADIUS``) the span is evaluated by :func:`_krylov_states`,
+    in Krylov spans where they are predicted to pay, and its end state
+    validated as a :class:`DensityMatrix`. Outside the guard, when that
+    validation fails, or when the end state's sink population is
+    negative, the span is stepped: trace conservation is checked after
+    every step and the final state validated, and any failure raises
     :class:`IntegrationError` with the index of the first bad step,
     offset by ``first_step``. When ``exit_trace`` is given (length
     n_steps) it receives the exit-node occupation after each step; its
     last entry equals the returned state's.
     """
+    if n_steps == 0:
+        return _stepped(state, model, _RealForm(model), 0, first_step, exit_trace)
+    return _advance(state, model, n_steps, n_steps, first_step, exit_trace)[-1]
+
+
+def _advance(
+    state: DensityMatrix, model: LindbladModel, n_steps: int, every: int, first_step: int,
+    exit_trace: np.ndarray | None,
+) -> list[DensityMatrix]:
+    """Validated states every ``every`` steps of an n_steps span, the last at n_steps.
+
+    Inside the stability guard as many as pass come from
+    :func:`_krylov_states`; the rest are stepped chunk by chunk from the
+    last of them by :func:`_stepped`, which raises on the first bad step.
+    """
+    form = _RealForm(model)
+    if exit_trace is None:
+        exit_trace = np.empty(n_steps)
+    states = []
+    bound = _norm_bound(form)
+    if model.params.dt * bound <= KRYLOV_RADIUS:
+        states = _krylov_states(state, model, form, bound, n_steps, every, exit_trace)
+    done = len(states) * every
+    while done < n_steps:
+        chunk = min(every, n_steps - done)
+        start = states[-1] if states else state
+        states.append(_stepped(start, model, form, chunk, first_step + done, exit_trace[done : done + chunk]))
+        done += chunk
+    return states
+
+
+def _stepped(
+    state: DensityMatrix, model: LindbladModel, form: _RealForm, n_steps: int, first_step: int,
+    exit_trace: np.ndarray | None,
+) -> DensityMatrix:
+    """Advance a state one RK4 step at a time, checking the trace after each; see :func:`propagate`."""
     dt = model.params.dt
     n = model.sink_exit
-    form = _RealForm(model)
     r = _to_real(state.matrix)
-    bound = _norm_bound(form)
-    if n_steps > 0 and dt * bound <= KRYLOV_RADIUS:
-        basis, ys = _krylov_span(r, n_steps, dt, form, bound)
-        end = (ys[-1] @ basis).reshape(r.shape)
-        # The basis resolves entries to about 1e-16 of the state's norm, so an
-        # escape probability far below that can come out negative; stepping
-        # builds it from the exit population step by step instead.
-        if end[-1, -1] >= 0.0:
-            try:
-                result = DensityMatrix(_to_complex(end))
-            except ValueError:
-                pass  # stepping below reproduces the failure and names its first bad step
-            else:
-                if exit_trace is not None:
-                    exit_trace[:] = ys @ basis[:, n * r.shape[0] + n]
-                    exit_trace[-1] = end[n, n]
-                return result
     for k in range(n_steps):
         _rk4_step(r, dt, form)
         tr = np.trace(r)
@@ -489,10 +735,12 @@ class Trajectory:
 def evolve(rho0: DensityMatrix, model: LindbladModel, sample_every: int = 10) -> Trajectory:
     """Integrate from t = 0 to t_final, sampling every ``sample_every`` steps.
 
-    Snapshots (including the final state) are the density matrices
-    :func:`propagate` validated, so a failed invariant surfaces as an
-    :class:`IntegrationError`. The sink population series must come out
-    non-decreasing, anything else is likewise an integration failure.
+    Snapshots (including the final state) are validated density
+    matrices, taken from as few Krylov bases as pay (see
+    :func:`propagate`), so a failed invariant surfaces as an
+    :class:`IntegrationError` from stepping the chunk where it occurs.
+    The sink population series must come out non-decreasing, anything
+    else is likewise an integration failure.
     """
     if rho0.dim != model.dim:
         raise ValueError(f"initial state dimension {rho0.dim} does not match model {model.dim}")
@@ -505,16 +753,8 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, sample_every: int = 10) ->
 
     exit_occ = np.empty(n_steps + 1)
     exit_occ[0] = rho0.matrix[n, n].real
-    snapshots = [rho0]
-    sample_steps = [0]
-
-    done = 0
-    while done < n_steps:
-        chunk = min(sample_every, n_steps - done)
-        exit_trace = exit_occ[done + 1 : done + chunk + 1]
-        snapshots.append(propagate(snapshots[-1], model, chunk, first_step=done, exit_trace=exit_trace))
-        done += chunk
-        sample_steps.append(done)
+    snapshots = [rho0, *_advance(rho0, model, n_steps, sample_every, 0, exit_occ[1:])]
+    sample_steps = [0, *range(sample_every, n_steps, sample_every), n_steps]
 
     dt = params.dt
     sample_steps = np.array(sample_steps)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qmlkit import dynamics
 from qmlkit.dynamics import (
+    KRYLOV_CHECK_EVERY,
     KRYLOV_RADIUS,
     IntegrationError,
     LindbladModel,
@@ -19,10 +20,13 @@ from qmlkit.dynamics import (
     lindblad_rhs,
     p_sink_from_integral,
     propagate,
+    _basis_estimate,
+    _krylov_span,
     _norm_bound,
     _RealForm,
     _rhs,
     _t4,
+    _to_real,
 )
 from qmlkit.maze import MazeGraph, generate_perfect_maze, grid_links, toggle_link
 from qmlkit.rlmaze import Action, MazeEnv
@@ -350,6 +354,17 @@ class TestKrylovSpan:
         assert 0.0 <= out.matrix[-1, -1].real < 1e-18
         assert out.matrix[-1, -1] == stepped_outcome(start, model, 100).matrix[-1, -1]
 
+    def test_exit_population_below_basis_resolution_is_stepped(self):
+        # These edits cut the exit off early, so its population stays near
+        # 1e-22, below the basis's resolution. A basis once gave -3.8e-21
+        # for it after the sixth interval; stepping on from there took the
+        # escape probability to -6.2e-22 in the seventh.
+        params = QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0)
+        env = MazeEnv(generate_perfect_maze(6, 6, seed=564027548), params, 10.0, 8)
+        env.reset()
+        for link in [(15, 16), (29, 35), (22, 23), (19, 25), (15, 21), (9, 10), (34, 35), None]:
+            assert env.step(Action(link))[0].populations.min() >= 0.0
+
     def test_t4_contracts_on_the_guarded_half_disk_only(self):
         def largest_t4(radius):
             # by the maximum modulus principle |T4| peaks on the half-disk's boundary
@@ -418,6 +433,96 @@ class TestKrylovSpan:
             stepped = evolve(initial_state(model), model, sample_every=300)
         np.testing.assert_allclose(integral, p_sink_from_integral(stepped, model), rtol=0, atol=1e-13)
 
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.8])
+    def test_gram_schmidt_keeps_the_basis_orthonormal(self, p):
+        # a single Gram-Schmidt pass leaves these 36-55 vectors orthogonal
+        # only to 1e-6..1e-10
+        model = build_model(generate_perfect_maze(3, 3, seed=1), QSWParams(p=p, gamma=1.0, dt=0.1, t_final=30.0))
+        form = _RealForm(model)
+        basis, ys, _ = _krylov_span(_to_real(initial_state(model).matrix), 100, 0.1, form, _norm_bound(form))
+        assert len(ys) == 100
+        np.testing.assert_allclose(basis @ basis.T, np.eye(len(basis)), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.8, 1.0])
+    def test_basis_estimate_tracks_the_measured_size(self, p):
+        # the a priori estimate is at least the size the basis needs, up to
+        # the spacing of its checks, and within 15 % of it where the
+        # coherent part dominates
+        dt = 0.02 if p == 0.0 else 0.1
+        model = build_model(generate_perfect_maze(4, 4, seed=1), QSWParams(p=p, gamma=1.0, dt=dt, t_final=30.0))
+        form = _RealForm(model)
+        basis, ys, _ = _krylov_span(_to_real(initial_state(model).matrix), 100, dt, form, _norm_bound(form))
+        assert len(ys) == 100
+        dissipative = (form.rate.max() + form.gain.sum(axis=1).max()) / 4
+        estimate = _basis_estimate(model._coherent_width * 100 * dt, dissipative * 100 * dt)
+        assert len(basis) - KRYLOV_CHECK_EVERY <= estimate
+        if p <= 0.5:
+            assert estimate <= 1.15 * len(basis)
+
+    def test_near_coherent_interval_is_stepped(self):
+        # at p = 0.05 a 100-step interval needs about 80 basis vectors, whose
+        # Gram-Schmidt passes cost more than stepping's 400 applications of L
+        model = build_model(generate_perfect_maze(6, 6, seed=1), QSWParams(p=0.05, gamma=1.0, dt=0.1, t_final=100.0))
+        with mock.patch.object(dynamics, "_rhs", wraps=_rhs) as counted:
+            out = propagate(initial_state(model), model, 100)
+        assert counted.call_count == 400
+        np.testing.assert_array_equal(out.matrix, stepped_outcome(initial_state(model), model, 100).matrix)
+
+    @pytest.mark.parametrize("cut", ["basis cap", "work budget"])
+    def test_spans_cut_short_match_stepping(self, cut):
+        # Every basis here aims at the whole rest of the span. One capped at
+        # 24 vectors is restarted from its last resolved step; one stopped
+        # by its work budget (here a tenth of stepping's) leaves the rest
+        # to stepping.
+        maze = generate_perfect_maze(4, 4, seed=2)
+        for p in (0.05, 0.5):
+            model = build_model(maze, QSWParams(p=p, gamma=0.7, dt=0.1, t_final=30.0))
+            if cut == "basis cap":
+                limit = mock.patch.object(dynamics, "KRYLOV_MAX_BASIS", 24)
+            else:
+                limit = mock.patch.object(dynamics, "_step_cost", lambda d, cost=dynamics._step_cost: cost(d) // 10)
+            trace, stepped_trace = np.empty(300), np.empty(300)
+            with (
+                mock.patch.object(dynamics, "_krylov_target", lambda n_steps, *rest: n_steps),
+                limit,
+                mock.patch.object(dynamics, "_krylov_span", wraps=_krylov_span) as spans,
+                mock.patch.object(dynamics, "_rk4_step", wraps=dynamics._rk4_step) as steps,
+            ):
+                out = propagate(initial_state(model), model, 300, exit_trace=trace)
+            if cut == "basis cap":
+                assert spans.call_count >= 3
+            else:
+                assert spans.call_count == 1 and 0 < steps.call_count < 300
+            stepped = stepped_outcome(initial_state(model), model, 300, stepped_trace)
+            np.testing.assert_allclose(out.matrix, stepped.matrix, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(trace, stepped_trace, rtol=0, atol=1e-13)
+            assert trace[-1] == out.matrix[maze.exit, maze.exit].real
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.8, 1.0])
+    def test_evolve_snapshots_match_stepping(self, p):
+        # evolve takes every snapshot of the horizon from as few bases as pay;
+        # 500 steps sampled every 7 leave a last chunk of 3
+        maze = generate_perfect_maze(4, 4, seed=5)
+        model = build_model(maze, QSWParams(p=p, gamma=1.0, dt=0.1, t_final=50.0))
+        traj = evolve(initial_state(model), model, sample_every=7)
+        with stepping_only():
+            stepped = evolve(initial_state(model), model, sample_every=7)
+        np.testing.assert_array_equal(traj.sample_steps, stepped.sample_steps)
+        assert traj.sample_steps[-1] - traj.sample_steps[-2] == 3
+        for got, expected in zip(traj.states, stepped.states, strict=True):
+            np.testing.assert_allclose(got.matrix, expected.matrix, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(traj.exit_occupation, stepped.exit_occupation, rtol=0, atol=1e-13)
+        at_samples = [state.matrix[maze.exit, maze.exit].real for state in traj.states]
+        np.testing.assert_array_equal(traj.exit_occupation[traj.sample_steps], at_samples)
+
+    def test_evolve_reports_the_stepped_failure(self):
+        # RK4 at dt = 0.1 breaks the positivity of a coherent walk in its first step
+        model = build_model(generate_perfect_maze(6, 6, seed=1), QSWParams(p=0.0, gamma=1.0, dt=0.1, t_final=10.0))
+        got = outcome(lambda: evolve(initial_state(model), model))
+        assert isinstance(got, tuple) and got[0].startswith("invalid state at step 1: ")
+        with stepping_only():
+            assert got == outcome(lambda: evolve(initial_state(model), model))
 
 class TestInitialState:
     def test_is_entrance_projector(self):
