@@ -407,7 +407,7 @@ def _basis_estimate(coherent: float, dissipative: float) -> int | None:
     return int(m[ok.argmax()]) if ok.any() else None
 
 
-@lru_cache(maxsize=4096)  # models built from mazes of one size share most widths
+@lru_cache(maxsize=256)  # models built from mazes of one size share most dissipative widths
 def _krylov_target(n_steps: int, dt: float, widths: tuple[float, float], d: int) -> int:
     """Steps the next Krylov basis should cover; 0 when stepping them is predicted to cost less.
 
