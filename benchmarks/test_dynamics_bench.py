@@ -23,16 +23,25 @@ a basis spans exactly; the 6x6 and 10x10 spans at p = 0.05 are stepped.
 ``test_propagate_interval`` times the first interval of an episode (100
 steps from the entrance) and ``test_propagate_tail`` the last one, 300
 steps from the state after 700, where the walker has spread and partly
-escaped.
+escaped. Both record in ``extra_info`` what one untimed call does:
+``rhs_calls`` in all, and per Krylov span the basis size and the
+``_t4`` calls (the span's convergence checks, and its states' T4 unless
+the last check hands it on); the per-span entries are None on a stepped
+call, which has no span.
 """
+
+from unittest import mock
 
 import pytest
 
+from qmlkit import dynamics
 from qmlkit.dynamics import (
     QSWParams,
+    _krylov_span,
     _RealForm,
     _rhs,
     _rk4_step,
+    _t4,
     _to_real,
     build_model,
     initial_state,
@@ -70,11 +79,36 @@ def test_rk4_step(benchmark, case):
     benchmark.pedantic(_rk4_step, setup=lambda: ((r.copy(), DT, form), {}), rounds=2000)
 
 
+def span_counts(start, model, n_steps, first_step=0):
+    """Work counts of one propagate call: _rhs calls, and basis vectors and _t4 calls per Krylov span."""
+    bases = []
+
+    def span(*args):
+        out = _krylov_span(*args)
+        bases.append(len(out[0]))
+        return out
+
+    with (
+        mock.patch.object(dynamics, "_rhs", wraps=_rhs) as rhs,
+        mock.patch.object(dynamics, "_t4", wraps=_t4) as t4,
+        mock.patch.object(dynamics, "_krylov_span", span),
+    ):
+        propagate(start, model, n_steps, first_step=first_step)
+    spans = len(bases)
+    return {
+        "rhs_calls": rhs.call_count,
+        "krylov_spans": spans,
+        "basis_per_span": sum(bases) / spans if spans else None,
+        "t4_per_span": t4.call_count / spans if spans else None,
+    }
+
+
 def test_propagate_interval(benchmark, case):
     _, _, model, _ = case
     start = initial_state(model)
     out = benchmark.pedantic(propagate, args=(start, model, STEPS), rounds=20)
     assert out.dim == model.dim
+    benchmark.extra_info.update(span_counts(start, model, STEPS))
 
 
 def test_propagate_tail(benchmark, case):
@@ -82,6 +116,7 @@ def test_propagate_tail(benchmark, case):
     start = propagate(initial_state(model), model, 700)
     out = benchmark.pedantic(propagate, args=(start, model, 300), kwargs={"first_step": 700}, rounds=20)
     assert out.dim == model.dim
+    benchmark.extra_info.update(span_counts(start, model, 300, first_step=700))
 
 
 def test_build_model(benchmark, case):

@@ -46,27 +46,27 @@ T4(dt L) R with T4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
 
 Integration is fixed-step RK4 for determinism. A span of n steps is the
 polynomial T4(dt L)^n R, which :func:`propagate` evaluates in a Krylov
-subspace of L (Saad 1992; Hochbruck & Lubich 1997) wherever that is
-predicted to cost less than stepping. The basis holds the polynomial
-exactly once it has 4n + 1 vectors and stops earlier, when the
-coefficients of its newest vectors fall to roundoff, so the result
-agrees with step-by-step RK4 to about 1e-14. Its size is predicted
-before it is built, from the Hochbruck-Lubich error bounds and the
-widths of the coherent and dissipative parts of L's spectrum: a
-100-step interval at p = 0.8 needs about 35 vectors where stepping
-applies L 400 times, but at p = 0.05 it needs about 80, whose
-Gram-Schmidt passes cost more than stepping, so that span is stepped.
-A span longer than one basis of at most KRYLOV_MAX_BASIS vectors covers
-is split. The Krylov path is taken only when dt times a norm bound of L
-is at most 2.6: the spectrum of L lies in Re z <= 0, and |T4| <= 1 on
-the left half-disk of radius 2.6, so stepping is stable there and has
-no growing component that the Krylov subspace would drop. Outside that
-disk, when a Krylov state is not a valid density matrix, or when its
-escape probability comes out negative (roundoff on a value below the
-basis's resolution of about 1e-16 of the state's norm), the span is
-stepped: a step that drifts the trace or produces non-finite values
-raises :class:`IntegrationError` instead of renormalizing, and so does
-an invalid end state, naming the first bad step.
+subspace of L (Saad 1992; Hochbruck & Lubich 1997) wherever the
+Hochbruck-Lubich error bounds and the widths of L's spectrum predict
+that to cost less than stepping: a 100-step interval at p = 0.8 needs
+about 35 vectors where stepping applies L 400 times, but at p = 0.05
+about 80, whose Gram-Schmidt passes cost more, so that span is stepped.
+The end state is checked only where the decay of earlier checks' log
+tails says a check may pass. The basis stops when its newest
+coefficients fall to roundoff, so the result agrees with stepping to
+about 1e-14, or at the most vectors whose work is within stepping's,
+and the rest of the span is stepped. A span longer than one basis of at
+most KRYLOV_MAX_BASIS vectors covers is split. The Krylov path is taken
+only when dt times a norm bound of L is at most 2.6: the spectrum of L
+lies in Re z <= 0, and |T4| <= 1 on the left half-disk of radius 2.6,
+so stepping is stable there and has no growing component that the
+Krylov subspace would drop. Outside that disk, when a Krylov state is
+not a valid density matrix, or when its escape probability comes out
+negative (roundoff on a value below the basis's resolution of about
+1e-16 of the state's norm), the span is stepped: a step that drifts the
+trace or produces non-finite values raises :class:`IntegrationError`
+instead of renormalizing, and so does an invalid end state, naming the
+first bad step.
 """
 
 import json
@@ -115,8 +115,8 @@ TRACE_DRIFT_LIMIT = 1e-6
 # |T4(z)| <= 1 on the left half-disk |z| <= 2.6 (not on |z| <= 2.7), so RK4
 # is stable there; propagate takes the Krylov path only inside it.
 KRYLOV_RADIUS = 2.6
-# The largest Arnoldi basis, and the fewest new vectors between two checks
-# of its convergence.
+# The largest Arnoldi basis, and the fewest vectors at which its
+# convergence is checked.
 KRYLOV_MAX_BASIS = 120
 KRYLOV_CHECK_EVERY = 4
 # The two paths' work is compared in flops. A NumPy call's fixed overhead
@@ -331,10 +331,10 @@ def _t4(a: np.ndarray) -> np.ndarray:
     return t
 
 
-def _powers(t: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
-    """Rows T^k y0 for k = 1..n: the recurrence y <- T y, evaluated by doubling."""
-    ys = np.empty((n, y0.size))
-    ys[0] = t @ y0
+def _powers(t: np.ndarray, scale: float, n: int) -> np.ndarray:
+    """Rows T^k (scale e1) for k = 1..n: the recurrence y <- T y, evaluated by doubling."""
+    ys = np.empty((n, len(t)))
+    ys[0] = scale * t[:, 0]
     power, k = t, 1  # power = T^k while k rows are known
     while k < n:
         step = min(k, n - k)
@@ -354,24 +354,27 @@ def _step_cost(d: int) -> int:
     return 4 * _rhs_cost(d) + 8 * CALL_FLOPS
 
 
-def _vector_cost(m: int, d: int) -> int:
-    """Work of the (m+1)-th Arnoldi vector: L, and two Gram-Schmidt passes over m vectors.
+def _vector_work(d: int) -> tuple[int, int]:
+    """(a, c) such that m Arnoldi vectors cost a m + c m^2.
 
-    The passes take 8 m d^2 flops and stream 32 m d^2 bytes.
+    The k-th applies L, makes nine more NumPy calls and two Gram-Schmidt
+    passes over k vectors (8 k d^2 flops streaming 32 k d^2 bytes).
     """
-    return _rhs_cost(d) + 40 * m * d * d + 9 * CALL_FLOPS
-
-
-def _power_cost(m: int, n_steps: int) -> int:
-    """Work of T4(dt H_m) in Horner form and its n_steps-th power by repeated squaring."""
-    products = 1 + n_steps.bit_length() + n_steps.bit_count()
-    return products * (2 * m**3 + 2 * CALL_FLOPS)
+    c = 20 * d * d
+    return _rhs_cost(d) + 9 * CALL_FLOPS + c, c
 
 
 def _span_cost(m: int, n_steps: int, d: int) -> int:
-    """Work of a Krylov span of n_steps steps with m basis vectors, two checks and its states."""
-    vectors = m * _vector_cost(0, d) + 20 * m * (m + 1) * d * d
-    return vectors + 3 * _power_cost(m, n_steps) + 2 * n_steps * m * m
+    """Work of a Krylov span of n_steps steps with m basis vectors, its checks and its states.
+
+    A check at k vectors is T4(dt H_k) (three products) and its n_steps-th
+    power by repeated squaring. Checked sizes grow by up to half at a time,
+    so the checks cost about two at m; the states double the last one's T4.
+    """
+    a, c = _vector_work(d)
+    product = 2 * m**3 + 2 * CALL_FLOPS
+    check = (3 + n_steps.bit_length() + n_steps.bit_count()) * product
+    return a * m + c * m * m + 2 * check + n_steps.bit_length() * product + 2 * n_steps * m * m
 
 
 _SIZES = np.arange(1.0, KRYLOV_MAX_BASIS + 1)
@@ -435,17 +438,6 @@ def _krylov_target(n_steps: int, dt: float, widths: tuple[float, float], d: int)
     return fits if fits and _span_cost(m_fits, fits, d) < fits * _step_cost(d) else 0
 
 
-def _resolved_steps(ys: np.ndarray, m: int) -> int:
-    """Length of the leading run of states whose last two coefficients are at roundoff.
-
-    At least (m - 1) // 4: those states are polynomials of degree at most
-    m - 1 in L, which the basis holds exactly.
-    """
-    tail = np.linalg.norm(ys[:, -2:], axis=1) > ROUNDOFF * np.linalg.norm(ys, axis=1)
-    first = int(np.argmax(tail)) if tail.any() else len(ys)
-    return max(first, (m - 1) // 4)
-
-
 def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound: float):
     """Coefficients of T4(dt L)^k R0 for k = 1, 2, ..., in an Arnoldi basis of L at R0.
 
@@ -453,17 +445,17 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     Krylov space of L (classical Gram-Schmidt, applied twice) and its
     Hessenberg matrix H_m = V^T L V. The k-th state T4(dt L)^k R0 is
     V T4(dt H_m)^k e1 ||R0||: exact once m reaches 4k + 1 or the space
-    closes (a happy breakdown, ||L v_m - V h|| at roundoff), and resolved
-    before that when its last two coefficients fall below machine epsilon
-    times its norm.
+    closes (||L v_m - V h|| at roundoff), and resolved before that when
+    its last two coefficients fall below machine epsilon times its norm.
 
-    The end state is checked once KRYLOV_CHECK_EVERY vectors, and as much
-    work as the check's own (:func:`_power_cost`), have been added since
-    the last check. The basis stops growing when the end state is
-    resolved; at min(4 n_steps + 1, d^2) vectors, where it is exact; at
-    KRYLOV_MAX_BASIS vectors; or when one more vector
-    (:func:`_vector_cost`) would take its work past that of stepping the
-    span (:func:`_step_cost` per step).
+    The end state is first checked at KRYLOV_CHECK_EVERY vectors or, if
+    later, where Hochbruck & Lubich's bound for a Hermitian L of spectral
+    radius ``bound`` falls below 1. Its log tail then falls ever faster,
+    so a line through the last two checks' log tails meets log(ROUNDOFF)
+    too late: the next check goes 0.6 of the way there, at most m/2
+    ahead. The basis stops when the end state is resolved, at
+    min(4 n_steps + 1, d^2) or KRYLOV_MAX_BASIS vectors, or at the most
+    vectors whose work (:func:`_vector_work`) is within stepping's.
 
     Returns the basis, one flattened matrix per row; the coefficients of
     the leading states it resolves, one state per row (all n_steps unless
@@ -471,51 +463,52 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     it, in which case the rest of the span is cheaper to step.
     """
     d = r0.shape[0]
-    budget = n_steps * _step_cost(d)
     exact = min(4 * n_steps + 1, d * d)
-    cap = min(exact, KRYLOV_MAX_BASIS)
+    limit = min(exact, KRYLOV_MAX_BASIS)
+    a, c = _vector_work(d)  # the budget a m + c m^2 <= n_steps * _step_cost(d), solved for m
+    cap = max(1, min(limit, int((math.sqrt(a * a + 4 * c * n_steps * _step_cost(d)) - a) / (2 * c))))
     beta = np.linalg.norm(r0)
     basis = np.empty((cap, d * d))
     hess = np.zeros((cap + 1, cap))
     basis[0] = r0.reshape(-1) / beta
-    spent = unchecked = checked = 0
-    resolved = over_budget = False
+    # 10 exp(-m^2 / (5 x)) = 1 with x = n_steps dt bound / 4 (Hochbruck & Lubich, Theorem 2)
+    check = max(KRYLOV_CHECK_EVERY, math.ceil(math.sqrt(1.25 * math.log(10) * n_steps * dt * bound)))
+    last = t4 = None
+    resolved = True
     for m in range(1, cap + 1):
         form.z[...] = basis[m - 1].reshape(d, d)
-        w = _rhs(form).reshape(-1)
+        w = _rhs(form).reshape(-1)  # a view of form.out, orthogonalized in place
         v = basis[:m]
         h = v @ w
-        w = w - h @ v
+        w -= h @ v
         correction = v @ w
         w -= correction @ v
         hess[:m, m - 1] = h + correction
         hess[m, m - 1] = norm = math.sqrt(w @ w)
-        work = _vector_cost(m, d)
-        spent += work
-        unchecked += work
         if m == exact or norm <= ROUNDOFF * bound:
-            resolved = True
             break
-        check = _power_cost(m, n_steps)
-        if m - checked >= KRYLOV_CHECK_EVERY and unchecked >= check:
-            spent += check
-            unchecked, checked = 0, m
-            y = np.linalg.matrix_power(_t4(dt * hess[:m, :m]), n_steps)[:, 0]
-            if math.hypot(*y[-2:]) <= ROUNDOFF * math.sqrt(y @ y):
-                resolved = True
+        if m == check:
+            t4 = _t4(dt * hess[:m, :m])
+            y = np.linalg.matrix_power(t4, n_steps)[:, 0]
+            tail = math.hypot(*y[-2:])
+            if tail <= ROUNDOFF * math.sqrt(y @ y):
                 break
-        if m == cap:
-            break
-        if spent + work > budget:  # the next vector costs more than this one
-            over_budget = True
-            break
-        basis[m] = w / norm
-    y0 = np.zeros(m)
-    y0[0] = beta
-    ys = _powers(_t4(dt * hess[:m, :m]), y0, n_steps)
-    if not resolved:
-        ys = ys[: _resolved_steps(ys, m)]
-    return basis[:m], ys, over_budget
+            tail = math.log(tail / math.sqrt(y @ y))
+            ahead = m // 2
+            if last and tail < last[1]:
+                ahead = min(ahead, math.ceil(0.6 * (math.log(ROUNDOFF) - tail) * (m - last[0]) / (tail - last[1])))
+            check, last = m + max(ahead, 1), (m, tail)
+        if m < cap:
+            np.divide(w, norm, out=basis[m])
+    else:
+        resolved = False
+    if t4 is None or len(t4) != m:
+        t4 = _t4(dt * hess[:m, :m])
+    ys = _powers(t4, beta, n_steps)
+    if not resolved:  # keep the states resolved to roundoff, and those of degree m - 1 or less in L
+        unresolved = np.linalg.norm(ys[:, -2:], axis=1) > ROUNDOFF * np.linalg.norm(ys, axis=1)
+        ys = ys[: max(int(np.argmax(unresolved)) if unresolved.any() else n_steps, (m - 1) // 4)]
+    return basis[:m], ys, not resolved and cap < limit
 
 
 def _validated(r: np.ndarray) -> DensityMatrix | None:
@@ -546,11 +539,10 @@ def _krylov_states(
     it resolves, where the next basis starts. The rest is stepped, after
     a basis that its work budget stopped or when no further basis is
     predicted to pay; when not even the first one is, nothing is returned
-    and the caller steps the span. Returns the states up to,
-    not including, the first that fails :func:`_validated` or whose
-    stepping drifts the trace; ``exit_trace`` holds the exit occupation
-    up to the last returned state, each sample's entry equal to that
-    state's.
+    and the caller steps the span. Returns the states up to, not
+    including, the first that fails :func:`_validated` or whose stepping
+    drifts the trace; ``exit_trace`` holds the exit occupation up to the
+    last returned state, each sample's entry equal to that state's.
     """
     d = model.dim
     dt = model.params.dt

@@ -444,6 +444,33 @@ class TestKrylovSpan:
         assert len(ys) == 100
         np.testing.assert_allclose(basis @ basis.T, np.eye(len(basis)), rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("first_step, n_steps", [(0, 100), (700, 300)], ids=["interval", "tail"])
+    def test_checks_stop_the_basis_near_the_smallest_resolving_size(self, first_step, n_steps):
+        # criterion-5 spans: the first action interval and the last one
+        model = build_model(generate_perfect_maze(6, 6, seed=1), QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0))
+        start = initial_state(model)
+        if first_step:
+            start = propagate(start, model, first_step)
+        form = _RealForm(model)
+        r0 = _to_real(start.matrix)
+        with mock.patch.object(dynamics, "_t4", wraps=_t4) as checks:
+            basis, ys, _ = _krylov_span(r0, n_steps, 0.1, form, _norm_bound(form))
+        assert len(ys) == n_steps and checks.call_count <= 6
+        # oracle: project L onto each leading block of the basis and test every size
+        d = model.dim
+        images = []
+        for v in basis:
+            form.z[...] = v.reshape(d, d)
+            images.append(_rhs(form).ravel().copy())
+        projected = basis @ np.array(images).T
+        for size in range(1, len(basis) + 1):
+            y = np.linalg.matrix_power(_t4(0.1 * projected[:size, :size]), n_steps)[:, 0]
+            if np.linalg.norm(y[-2:]) <= np.finfo(float).eps * np.linalg.norm(y):
+                break
+        else:
+            pytest.fail("the basis does not resolve the end state")
+        assert len(basis) <= size + 2
+
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.8, 1.0])
     def test_basis_estimate_tracks_the_measured_size(self, p):
         # the a priori estimate is at least the size the basis needs, up to
