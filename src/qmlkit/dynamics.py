@@ -539,10 +539,11 @@ def _krylov_states(
     it resolves, where the next basis starts. The rest is stepped, after
     a basis that its work budget stopped or when no further basis is
     predicted to pay; when not even the first one is, nothing is returned
-    and the caller steps the span. Returns the states up to, not
-    including, the first that fails :func:`_validated` or whose stepping
-    drifts the trace; ``exit_trace`` holds the exit occupation up to the
-    last returned state, each sample's entry equal to that state's.
+    and the caller steps the span. Returns the states up to,
+    not including, the first that fails :func:`_validated` or whose
+    stepping drifts the trace; ``exit_trace`` holds the exit occupation
+    up to the last returned state, each sample's entry equal to that
+    state's.
     """
     d = model.dim
     dt = model.params.dt
