@@ -24,10 +24,12 @@ a basis spans exactly; the 6x6 and 10x10 spans at p = 0.05 are stepped.
 steps from the entrance) and ``test_propagate_tail`` the last one, 300
 steps from the state after 700, where the walker has spread and partly
 escaped. Both record in ``extra_info`` what one untimed call does:
-``rhs_calls`` in all, and per Krylov span the basis size and the
-``_t4`` calls (the span's convergence checks, and its states' T4 unless
-the last check hands it on); the per-span entries are None on a stepped
-call, which has no span.
+``rhs_calls`` in all, and per Krylov span the basis size, the ``_t4``
+calls (the span's convergence checks, and its states' T4 unless the
+last check hands it on) and the ``_powers`` calls (the rows of the
+states before the end, which a call without ``exit_trace`` does not
+ask for); the per-span entries are None on a stepped call, which has
+no span.
 """
 
 from unittest import mock
@@ -38,6 +40,7 @@ from qmlkit import dynamics
 from qmlkit.dynamics import (
     QSWParams,
     _krylov_span,
+    _powers,
     _RealForm,
     _rhs,
     _rk4_step,
@@ -80,17 +83,18 @@ def test_rk4_step(benchmark, case):
 
 
 def span_counts(start, model, n_steps, first_step=0):
-    """Work counts of one propagate call: _rhs calls, and basis vectors and _t4 calls per Krylov span."""
+    """Work counts of one propagate call: _rhs calls, and basis vectors, _t4 and _powers calls per Krylov span."""
     bases = []
 
-    def span(*args):
-        out = _krylov_span(*args)
+    def span(*args, **kwargs):
+        out = _krylov_span(*args, **kwargs)
         bases.append(len(out[0]))
         return out
 
     with (
         mock.patch.object(dynamics, "_rhs", wraps=_rhs) as rhs,
         mock.patch.object(dynamics, "_t4", wraps=_t4) as t4,
+        mock.patch.object(dynamics, "_powers", wraps=_powers) as powers,
         mock.patch.object(dynamics, "_krylov_span", span),
     ):
         propagate(start, model, n_steps, first_step=first_step)
@@ -100,6 +104,7 @@ def span_counts(start, model, n_steps, first_step=0):
         "krylov_spans": spans,
         "basis_per_span": sum(bases) / spans if spans else None,
         "t4_per_span": t4.call_count / spans if spans else None,
+        "powers_per_span": powers.call_count / spans if spans else None,
     }
 
 

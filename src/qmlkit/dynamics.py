@@ -51,8 +51,10 @@ Hochbruck-Lubich error bounds and the widths of L's spectrum predict
 that to cost less than stepping: a 100-step interval at p = 0.8 needs
 about 35 vectors where stepping applies L 400 times, but at p = 0.05
 about 80, whose Gram-Schmidt passes cost more, so that span is stepped.
-The end state is checked only where the decay of earlier checks' log
-tails says a check may pass. The basis stops when its newest
+The end state is checked only where Saad's (1992) error estimate,
+calibrated by the checks before, says a check may pass, and a caller
+that wants only the end state takes it from the check that passed,
+without the states before it. The basis stops when its newest
 coefficients fall to roundoff, so the result agrees with stepping to
 about 1e-14, or at the most vectors whose work is within stepping's,
 and the rest of the span is stepped. A span longer than one basis of at
@@ -118,7 +120,7 @@ KRYLOV_RADIUS = 2.6
 # The largest Arnoldi basis, and the fewest vectors at which its
 # convergence is checked.
 KRYLOV_MAX_BASIS = 120
-KRYLOV_CHECK_EVERY = 4
+KRYLOV_MIN_CHECK = 4
 # The two paths' work is compared in flops. A NumPy call's fixed overhead
 # counts as CALL_FLOPS, and a byte that Gram-Schmidt streams from the basis
 # as one flop, since those passes are memory-bound (both fitted to timings
@@ -126,6 +128,7 @@ KRYLOV_CHECK_EVERY = 4
 # core with OpenBLAS).
 CALL_FLOPS = 35_000
 ROUNDOFF = np.finfo(float).eps
+LOG_ROUNDOFF = math.log(ROUNDOFF)
 
 
 def whole_steps(span: float, dt: float, name: str) -> int:
@@ -368,8 +371,12 @@ def _span_cost(m: int, n_steps: int, d: int) -> int:
     """Work of a Krylov span of n_steps steps with m basis vectors, its checks and its states.
 
     A check at k vectors is T4(dt H_k) (three products) and its n_steps-th
-    power by repeated squaring. Checked sizes grow by up to half at a time,
-    so the checks cost about two at m; the states double the last one's T4.
+    power by repeated squaring. A span is checked about once where the
+    Hochbruck-Lubich bound falls below 1, well short of m, and once or
+    twice near m, so the checks cost about two at m; the states double the
+    last one's T4. A caller that wants only the end state skips the
+    states, so its spans are charged slightly more than they cost, and
+    :func:`_krylov_target` keeps one decision for both kinds of caller.
     """
     a, c = _vector_work(d)
     product = 2 * m**3 + 2 * CALL_FLOPS
@@ -396,7 +403,7 @@ def _basis_estimate(coherent: float, dissipative: float) -> int | None:
     coherent part dominates, and overshoots it otherwise.
     """
     m, log_m = _SIZES, _LOG_SIZES
-    floor = math.log(ROUNDOFF)
+    floor = LOG_ROUNDOFF
     ok = np.ones(m.size, dtype=bool)
     x = coherent
     if x > 0.0:
@@ -438,7 +445,7 @@ def _krylov_target(n_steps: int, dt: float, widths: tuple[float, float], d: int)
     return fits if fits and _span_cost(m_fits, fits, d) < fits * _step_cost(d) else 0
 
 
-def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound: float):
+def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound: float, rows: bool = True):
     """Coefficients of T4(dt L)^k R0 for k = 1, 2, ..., in an Arnoldi basis of L at R0.
 
     Builds the orthonormal basis v_1 = vec(R0)/||R0||, v_2, ... of the
@@ -448,19 +455,29 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     closes (||L v_m - V h|| at roundoff), and resolved before that when
     its last two coefficients fall below machine epsilon times its norm.
 
-    The end state is first checked at KRYLOV_CHECK_EVERY vectors or, if
-    later, where Hochbruck & Lubich's bound for a Hermitian L of spectral
-    radius ``bound`` falls below 1. Its log tail then falls ever faster,
-    so a line through the last two checks' log tails meets log(ROUNDOFF)
-    too late: the next check goes 0.6 of the way there, at most m/2
-    ahead. The basis stops when the end state is resolved, at
-    min(4 n_steps + 1, d^2) or KRYLOV_MAX_BASIS vectors, or at the most
-    vectors whose work (:func:`_vector_work`) is within stepping's.
+    The end state is checked where the log of its tail (those two
+    coefficients relative to its norm) is predicted to reach
+    log(ROUNDOFF). Saad (1992) puts the error of m vectors at the product
+    of the subdiagonals h_{k+1,k} times (n_steps dt)^m / m!; the larger of
+    the two coefficients is that of v_{m-1}, so the tail at m + 1 vectors
+    is predicted as the tail at m plus log(h_{m,m-1} n_steps dt / (m - 1)),
+    uncalibrated from 0 at one vector. A check comes once the prediction is
+    within a factor 100 of ROUNDOFF (at KRYLOV_MIN_CHECK vectors or more),
+    and in any case where Hochbruck & Lubich's bound for a Hermitian L of
+    spectral radius ``bound`` falls below 1 (at least KRYLOV_MIN_CHECK
+    vectors). A failed check resets the prediction to the tail it
+    measured; once a check that the prediction placed has failed, the
+    next waits for the prediction to reach ROUNDOFF itself. The basis
+    stops when the end state is resolved, at min(4 n_steps + 1, d^2) or
+    KRYLOV_MAX_BASIS vectors, or at the most vectors whose work
+    (:func:`_vector_work`) is within stepping's.
 
     Returns the basis, one flattened matrix per row; the coefficients of
     the leading states it resolves, one state per row (all n_steps unless
     it stopped short, possibly none); and whether the work budget stopped
-    it, in which case the rest of the span is cheaper to step.
+    it, in which case the rest of the span is cheaper to step. With
+    ``rows`` false, a basis that resolves the end state returns that
+    state's coefficients alone, as one vector, from the check that passed.
     """
     d = r0.shape[0]
     exact = min(4 * n_steps + 1, d * d)
@@ -471,9 +488,11 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     basis = np.empty((cap, d * d))
     hess = np.zeros((cap + 1, cap))
     basis[0] = r0.reshape(-1) / beta
-    # 10 exp(-m^2 / (5 x)) = 1 with x = n_steps dt bound / 4 (Hochbruck & Lubich, Theorem 2)
-    check = max(KRYLOV_CHECK_EVERY, math.ceil(math.sqrt(1.25 * math.log(10) * n_steps * dt * bound)))
-    last = t4 = None
+    tau = n_steps * dt
+    # 10 exp(-m^2 / (5 x)) = 1 with x = tau bound / 4 (Hochbruck & Lubich, Theorem 2)
+    first = max(KRYLOV_MIN_CHECK, math.ceil(math.sqrt(1.25 * math.log(10) * tau * bound)))
+    predicted, target = 0.0, LOG_ROUNDOFF + math.log(100)  # predicted log tail at m vectors, and where to check
+    t4 = y = None
     resolved = True
     for m in range(1, cap + 1):
         form.z[...] = basis[m - 1].reshape(d, d)
@@ -487,21 +506,26 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
         hess[m, m - 1] = norm = math.sqrt(w @ w)
         if m == exact or norm <= ROUNDOFF * bound:
             break
-        if m == check:
+        if m == first or (m >= KRYLOV_MIN_CHECK and predicted <= target):
             t4 = _t4(dt * hess[:m, :m])
             y = np.linalg.matrix_power(t4, n_steps)[:, 0]
+            size = math.sqrt(y @ y)
             tail = math.hypot(*y[-2:])
-            if tail <= ROUNDOFF * math.sqrt(y @ y):
+            if tail <= ROUNDOFF * size:
                 break
-            tail = math.log(tail / math.sqrt(y @ y))
-            ahead = m // 2
-            if last and tail < last[1]:
-                ahead = min(ahead, math.ceil(0.6 * (math.log(ROUNDOFF) - tail) * (m - last[0]) / (tail - last[1])))
-            check, last = m + max(ahead, 1), (m, tail)
+            if predicted <= target:  # the prediction placed this check: place the next at roundoff
+                target = LOG_ROUNDOFF
+            predicted = math.log(tail / size)
+        if m > 1:
+            predicted += math.log(hess[m - 1, m - 2] * tau / (m - 1))
         if m < cap:
             np.divide(w, norm, out=basis[m])
     else:
         resolved = False
+    if resolved and not rows:
+        if y is None or len(y) != m:
+            y = np.linalg.matrix_power(_t4(dt * hess[:m, :m]), n_steps)[:, 0]
+        return basis[:m], beta * y, False
     if t4 is None or len(t4) != m:
         t4 = _t4(dt * hess[:m, :m])
     ys = _powers(t4, beta, n_steps)
@@ -530,7 +554,7 @@ def _validated(r: np.ndarray) -> DensityMatrix | None:
 
 def _krylov_states(
     state: DensityMatrix, model: LindbladModel, form: _RealForm, bound: float, n_steps: int, every: int,
-    exit_trace: np.ndarray,
+    exit_trace: np.ndarray | None,
 ) -> list[DensityMatrix]:
     """Validated states at steps every, 2 every, ..., n_steps, from Krylov spans where they pay.
 
@@ -539,17 +563,20 @@ def _krylov_states(
     it resolves, where the next basis starts. The rest is stepped, after
     a basis that its work budget stopped or when no further basis is
     predicted to pay; when not even the first one is, nothing is returned
-    and the caller steps the span. Returns the states up to,
-    not including, the first that fails :func:`_validated` or whose
-    stepping drifts the trace; ``exit_trace`` holds the exit occupation
-    up to the last returned state, each sample's entry equal to that
-    state's.
+    and the caller steps the span. A caller that wants only the end state
+    (no ``exit_trace`` and one sample) gets it from each basis's last
+    check, without the rows of the steps before it. Returns the states up
+    to, not including, the first that fails :func:`_validated` or whose
+    stepping drifts the trace; ``exit_trace``, if given, holds the exit
+    occupation up to the last returned state, each sample's entry equal
+    to that state's.
     """
     d = model.dim
     dt = model.params.dt
     exit_index = model.sink_exit
     dissipative = (form.rate.max() + form.gain.sum(axis=1).max()) / 4
     samples = [*range(every, n_steps, every), n_steps]
+    rows = exit_trace is not None or len(samples) > 1
     states = []
     r = _to_real(state.matrix)
     done = 0
@@ -560,27 +587,33 @@ def _krylov_states(
         target = _krylov_target(n_steps - done, dt, (model._coherent_width, dissipative), d)
         if not target:
             break
-        basis, ys, step_rest = _krylov_span(r, target, dt, form, bound)
+        basis, ys, step_rest = _krylov_span(r, target, dt, form, bound, rows=rows)
+        first = done + 1  # the step of the first row of ys
+        if ys.ndim == 1:  # the end state alone
+            ys, first = ys[None], done + target
         if not len(ys):
             break
-        exit_trace[done : done + len(ys)] = ys @ basis[:, exit_index * (d + 1)]
-        while len(states) < len(samples) and samples[len(states)] <= done + len(ys):
+        if exit_trace is not None:
+            exit_trace[first - 1 : first - 1 + len(ys)] = ys @ basis[:, exit_index * (d + 1)]
+        done = first + len(ys) - 1
+        while len(states) < len(samples) and samples[len(states)] <= done:
             step = samples[len(states)]
-            end = (ys[step - done - 1] @ basis).reshape(d, d)
+            end = (ys[step - first] @ basis).reshape(d, d)
             result = _validated(end)
             if result is None:
                 return states
-            exit_trace[step - 1] = end[exit_index, exit_index]
+            if exit_trace is not None:
+                exit_trace[step - 1] = end[exit_index, exit_index]
             states.append(result)
         r = (ys[-1] @ basis).reshape(d, d)
-        done += len(ys)
     if not done:
         return states  # no basis pays: the caller steps every chunk
     for step in range(done + 1, n_steps + 1):
         _rk4_step(r, dt, form)
         if not abs(np.trace(r) - 1.0) <= TRACE_DRIFT_LIMIT:
             return states
-        exit_trace[step - 1] = r[exit_index, exit_index]
+        if exit_trace is not None:
+            exit_trace[step - 1] = r[exit_index, exit_index]
         if step == samples[len(states)]:
             result = _validated(r)
             if result is None:
@@ -645,8 +678,6 @@ def _advance(
     last of them by :func:`_stepped`, which raises on the first bad step.
     """
     form = _RealForm(model)
-    if exit_trace is None:
-        exit_trace = np.empty(n_steps)
     states = []
     bound = _norm_bound(form)
     if model.params.dt * bound <= KRYLOV_RADIUS:
@@ -655,7 +686,8 @@ def _advance(
     while done < n_steps:
         chunk = min(every, n_steps - done)
         start = states[-1] if states else state
-        states.append(_stepped(start, model, form, chunk, first_step + done, exit_trace[done : done + chunk]))
+        trace = None if exit_trace is None else exit_trace[done : done + chunk]
+        states.append(_stepped(start, model, form, chunk, first_step + done, trace))
         done += chunk
     return states
 

@@ -45,7 +45,13 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite complex matrix."""
+    """Hermitian, unit-trace, positive-semidefinite complex matrix.
+
+    Positivity is tested by a Cholesky factorization of M - floor * I,
+    which exists when every eigenvalue of M lies above EIGENVALUE_FLOOR;
+    only when it fails is the smallest eigenvalue computed, to decide
+    within roundoff of the floor and to name it in the error.
+    """
 
     matrix: np.ndarray
 
@@ -61,9 +67,12 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace {tr} deviates from 1 by more than {TRACE_ATOL}")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < EIGENVALUE_FLOOR:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {lo}")
+        try:  # succeeds exactly when every eigenvalue exceeds the floor, up to roundoff
+            np.linalg.cholesky(m - EIGENVALUE_FLOOR * np.eye(len(m)))
+        except np.linalg.LinAlgError:
+            lo = float(np.linalg.eigvalsh(m)[0])
+            if lo < EIGENVALUE_FLOOR:
+                raise ValueError(f"not positive semidefinite: min eigenvalue {lo}") from None
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

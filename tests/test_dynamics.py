@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qmlkit import dynamics
 from qmlkit.dynamics import (
-    KRYLOV_CHECK_EVERY,
+    KRYLOV_MIN_CHECK,
     KRYLOV_RADIUS,
     IntegrationError,
     LindbladModel,
@@ -471,6 +471,46 @@ class TestKrylovSpan:
             pytest.fail("the basis does not resolve the end state")
         assert len(basis) <= size + 2
 
+    def test_near_stationary_span_stops_near_the_smallest_resolving_size(self):
+        # After 20 000 steps 93 % of the population is in the sink, where L
+        # vanishes: a 100-step interval resolves at 5 vectors, well before
+        # the Hochbruck-Lubich bound's first check at 14.
+        model = build_model(generate_perfect_maze(6, 6, seed=1), QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0))
+        start = propagate(initial_state(model), model, 20_000)
+        assert start.matrix[-1, -1].real > 0.9
+        form = _RealForm(model)
+        basis, ys, _ = _krylov_span(_to_real(start.matrix), 100, 0.1, form, _norm_bound(form))
+        assert len(ys) == 100
+        d = model.dim
+        images = []
+        for v in basis:
+            form.z[...] = v.reshape(d, d)
+            images.append(_rhs(form).ravel().copy())
+        projected = basis @ np.array(images).T
+        sizes = [
+            size
+            for size in range(1, len(basis) + 1)
+            if np.linalg.norm((y := np.linalg.matrix_power(_t4(0.1 * projected[:size, :size]), 100)[:, 0])[-2:])
+            <= np.finfo(float).eps * np.linalg.norm(y)
+        ]
+        assert sizes and len(basis) <= sizes[0] + 2
+
+    @pytest.mark.parametrize("first_step, n_steps", [(0, 100), (700, 300)], ids=["interval", "tail"])
+    def test_end_state_alone_skips_the_rows(self, first_step, n_steps):
+        # without exit_trace a propagate call wants the end state only, as
+        # every MazeEnv.step does: it comes from the check that passed
+        model = build_model(generate_perfect_maze(6, 6, seed=1), QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0))
+        start = initial_state(model)
+        if first_step:
+            start = propagate(start, model, first_step)
+        with (
+            mock.patch.object(dynamics, "_powers", wraps=dynamics._powers) as powers,
+            mock.patch.object(dynamics, "_t4", wraps=_t4) as t4,
+        ):
+            out = propagate(start, model, n_steps, first_step=first_step)
+        assert powers.call_count == 0 and t4.call_count <= 3
+        np.testing.assert_allclose(out.matrix, stepped_outcome(start, model, n_steps).matrix, rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.8, 1.0])
     def test_basis_estimate_tracks_the_measured_size(self, p):
         # the a priori estimate is at least the size the basis needs, up to
@@ -483,7 +523,7 @@ class TestKrylovSpan:
         assert len(ys) == 100
         dissipative = (form.rate.max() + form.gain.sum(axis=1).max()) / 4
         estimate = _basis_estimate(model._coherent_width * 100 * dt, dissipative * 100 * dt)
-        assert len(basis) - KRYLOV_CHECK_EVERY <= estimate
+        assert len(basis) - KRYLOV_MIN_CHECK <= estimate
         if p <= 0.5:
             assert estimate <= 1.15 * len(basis)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmlkit.states import DensityMatrix, PureState
+from qmlkit.states import EIGENVALUE_FLOOR, DensityMatrix, PureState
 
 from oracles import min_eigenvalue_from_roots, random_density_matrix, random_pure_density_matrix
 
@@ -82,6 +82,22 @@ class TestDensityMatrix:
                     DensityMatrix(m)
             outcomes.append(lo >= -1e-8)
         assert 10 <= sum(outcomes) <= len(outcomes) - 10
+
+    @pytest.mark.parametrize("offset", [-1e-9, 1e-9], ids=["below", "above"])
+    def test_positivity_decided_just_beside_the_floor(self, offset):
+        # U diag(lambda) U^dag with the smallest eigenvalue 1e-9 from the floor
+        rng = np.random.default_rng(17)
+        u, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        levels = np.array([EIGENVALUE_FLOOR + offset, 0.1, 0.15, 0.2, 0.25, 0.0])
+        levels[-1] = 1.0 - levels.sum()
+        m = (u * levels) @ u.conj().T
+        m = (m + m.conj().T) / 2
+        if offset > 0:
+            DensityMatrix(m)
+            return
+        with pytest.raises(ValueError) as info:
+            DensityMatrix(m)
+        assert str(info.value) == f"not positive semidefinite: min eigenvalue {float(np.linalg.eigvalsh(m)[0])}"
 
     def test_purity_of_pure_state(self):
         rng = np.random.default_rng(1)
