@@ -477,7 +477,8 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     it stopped short, possibly none); and whether the work budget stopped
     it, in which case the rest of the span is cheaper to step. With
     ``rows`` false, a basis that resolves the end state returns that
-    state's coefficients alone, as one vector, from the check that passed.
+    state's coefficients alone, as one vector, taken from the check that
+    passed if one did.
     """
     d = r0.shape[0]
     exact = min(4 * n_steps + 1, d * d)
@@ -554,7 +555,7 @@ def _validated(r: np.ndarray) -> DensityMatrix | None:
 
 def _krylov_states(
     state: DensityMatrix, model: LindbladModel, form: _RealForm, bound: float, n_steps: int, every: int,
-    exit_trace: np.ndarray | None,
+    exit_trace: np.ndarray, rows: bool,
 ) -> list[DensityMatrix]:
     """Validated states at steps every, 2 every, ..., n_steps, from Krylov spans where they pay.
 
@@ -563,20 +564,18 @@ def _krylov_states(
     it resolves, where the next basis starts. The rest is stepped, after
     a basis that its work budget stopped or when no further basis is
     predicted to pay; when not even the first one is, nothing is returned
-    and the caller steps the span. A caller that wants only the end state
-    (no ``exit_trace`` and one sample) gets it from each basis's last
-    check, without the rows of the steps before it. Returns the states up
-    to, not including, the first that fails :func:`_validated` or whose
-    stepping drifts the trace; ``exit_trace``, if given, holds the exit
-    occupation up to the last returned state, each sample's entry equal
-    to that state's.
+    and the caller steps the span. Without ``rows`` each basis hands on
+    only its end state, from its last check, and the exit occupation of
+    the steps before it is not computed. Returns the states up to, not
+    including, the first that fails :func:`_validated` or whose stepping
+    drifts the trace; ``exit_trace`` holds the exit occupation up to the
+    last returned state, each sample's entry equal to that state's.
     """
     d = model.dim
     dt = model.params.dt
     exit_index = model.sink_exit
     dissipative = (form.rate.max() + form.gain.sum(axis=1).max()) / 4
     samples = [*range(every, n_steps, every), n_steps]
-    rows = exit_trace is not None or len(samples) > 1
     states = []
     r = _to_real(state.matrix)
     done = 0
@@ -593,8 +592,7 @@ def _krylov_states(
             ys, first = ys[None], done + target
         if not len(ys):
             break
-        if exit_trace is not None:
-            exit_trace[first - 1 : first - 1 + len(ys)] = ys @ basis[:, exit_index * (d + 1)]
+        exit_trace[first - 1 : first - 1 + len(ys)] = ys @ basis[:, exit_index * (d + 1)]
         done = first + len(ys) - 1
         while len(states) < len(samples) and samples[len(states)] <= done:
             step = samples[len(states)]
@@ -602,8 +600,7 @@ def _krylov_states(
             result = _validated(end)
             if result is None:
                 return states
-            if exit_trace is not None:
-                exit_trace[step - 1] = end[exit_index, exit_index]
+            exit_trace[step - 1] = end[exit_index, exit_index]
             states.append(result)
         r = (ys[-1] @ basis).reshape(d, d)
     if not done:
@@ -612,8 +609,7 @@ def _krylov_states(
         _rk4_step(r, dt, form)
         if not abs(np.trace(r) - 1.0) <= TRACE_DRIFT_LIMIT:
             return states
-        if exit_trace is not None:
-            exit_trace[step - 1] = r[exit_index, exit_index]
+        exit_trace[step - 1] = r[exit_index, exit_index]
         if step == samples[len(states)]:
             result = _validated(r)
             if result is None:
@@ -678,16 +674,18 @@ def _advance(
     last of them by :func:`_stepped`, which raises on the first bad step.
     """
     form = _RealForm(model)
+    rows = exit_trace is not None or every < n_steps  # else only the end state is wanted
+    if exit_trace is None:
+        exit_trace = np.empty(n_steps)
     states = []
     bound = _norm_bound(form)
     if model.params.dt * bound <= KRYLOV_RADIUS:
-        states = _krylov_states(state, model, form, bound, n_steps, every, exit_trace)
+        states = _krylov_states(state, model, form, bound, n_steps, every, exit_trace, rows)
     done = len(states) * every
     while done < n_steps:
         chunk = min(every, n_steps - done)
         start = states[-1] if states else state
-        trace = None if exit_trace is None else exit_trace[done : done + chunk]
-        states.append(_stepped(start, model, form, chunk, first_step + done, trace))
+        states.append(_stepped(start, model, form, chunk, first_step + done, exit_trace[done : done + chunk]))
         done += chunk
     return states
 
