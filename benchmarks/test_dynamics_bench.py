@@ -6,9 +6,9 @@ commits on a shared host:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest benchmarks/test_dynamics_bench.py --benchmark-only
 
-Each layer runs at p = 0.05 (nearly coherent), p = 0.8 (the criterion-5
-mixing) and p = 1 (the classical limit, no coherent part) with the
-criterion-5 timing: dt = 0.1 and 100 steps per action interval. The state fed to ``_rhs``,
+Each layer runs at p = 0.05 (nearly coherent), p = 0.3, p = 0.8 (the
+criterion-5 mixing) and p = 1 (the classical limit, no coherent part)
+with the criterion-5 timing: dt = 0.1 and 100 steps per action interval. The state fed to ``_rhs``,
 ``_rk4_step`` and ``DensityMatrix`` is the walker after one interval,
 spread over the maze, not the entrance projector. ``_rhs`` and
 ``_rk4_step`` run on its real form R = Re rho + Im rho with buffers
@@ -16,10 +16,12 @@ built once, as the stepping path of ``propagate`` runs them; each timed
 RK4 step starts from a fresh copy of R, since the step works in place.
 
 ``propagate`` itself evaluates a span in a Krylov subspace of the
-generator where its stability guard allows and its cost model predicts
-that to be cheaper than stepping: at p = 0.8 and p = 1 in every case
+generator where its stability guard allows and the basis it predicts
+fits within the work of stepping: at p = 0.8 and p = 1 in every case
 here, and at p = 0.05 only on the 3x3 maze, whose 100-entry state space
 a basis spans exactly; the 6x6 and 10x10 spans at p = 0.05 are stepped.
+At p = 0.3, near where the decision turns, every span but the 6x6 tail
+gets a basis.
 ``test_propagate_interval`` times the first interval of an episode (100
 steps from the entrance) and ``test_propagate_tail`` the last one, 300
 steps from the state after 700, where the walker has spread and partly
@@ -54,7 +56,7 @@ from qmlkit.maze import generate_perfect_maze
 from qmlkit.states import DensityMatrix
 
 DT, STEPS = 0.1, 100
-CASES = [(size, p) for size in (3, 6, 10) for p in (0.05, 0.8, 1.0)]
+CASES = [(size, p) for size in (3, 6, 10) for p in (0.05, 0.3, 0.8, 1.0)]
 
 
 @pytest.fixture(scope="module", params=CASES, ids=lambda case: f"{case[0]}x{case[0]}-p{case[1]}")

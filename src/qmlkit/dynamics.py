@@ -47,18 +47,18 @@ T4(dt L) R with T4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
 Integration is fixed-step RK4 for determinism. A span of n steps is the
 polynomial T4(dt L)^n R, which :func:`propagate` evaluates in a Krylov
 subspace of L (Saad 1992; Hochbruck & Lubich 1997) wherever the
-Hochbruck-Lubich error bounds and the widths of L's spectrum predict
-that to cost less than stepping: a 100-step interval at p = 0.8 needs
-about 35 vectors where stepping applies L 400 times, but at p = 0.05
-about 80, whose Gram-Schmidt passes cost more, so that span is stepped.
-The end state is checked only where Saad's (1992) error estimate,
+Hochbruck-Lubich error bounds and the widths of L's spectrum predict a
+basis whose work is within that of stepping: a 100-step interval at
+p = 0.8 needs about 35 vectors where stepping applies L 400 times, but
+at p = 0.05 about 80, whose Gram-Schmidt passes cost more, so that span
+is stepped. The end state is checked only where Saad's (1992) error estimate,
 calibrated by the checks before, says a check may pass, and a caller
 that wants only the end state takes it from the check that passed,
 without the states before it. The basis stops when its newest
 coefficients fall to roundoff, so the result agrees with stepping to
-about 1e-14, or at the most vectors whose work is within stepping's,
-and the rest of the span is stepped. A span longer than one basis of at
-most KRYLOV_MAX_BASIS vectors covers is split. The Krylov path is taken
+about 1e-14, or at the budget of vectors that decided it, and the rest
+of the span is stepped. A span longer than one basis of at most
+KRYLOV_MAX_BASIS vectors covers is split. The Krylov path is taken
 only when dt times a norm bound of L is at most 2.6: the spectrum of L
 lies in Re z <= 0, and |T4| <= 1 on the left half-disk of radius 2.6,
 so stepping is stable there and has no growing component that the
@@ -74,7 +74,7 @@ first bad step.
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -347,41 +347,21 @@ def _powers(t: np.ndarray, scale: float, n: int) -> np.ndarray:
     return ys
 
 
-def _rhs_cost(d: int) -> int:
-    """Work of one application of L: the d x 2d x d commutator product and six NumPy calls."""
-    return 4 * d**3 + 6 * CALL_FLOPS
-
-
 def _step_cost(d: int) -> int:
-    """Work of one RK4 step: four applications of L and eight more NumPy calls."""
-    return 4 * _rhs_cost(d) + 8 * CALL_FLOPS
+    """Work of one RK4 step: four applications of L (a d x 2d x d product, six NumPy calls) and eight more calls."""
+    return 16 * d**3 + 32 * CALL_FLOPS
 
 
-def _vector_work(d: int) -> tuple[int, int]:
-    """(a, c) such that m Arnoldi vectors cost a m + c m^2.
+def _budget(n_steps: int, d: int) -> int:
+    """The most Arnoldi vectors whose work is within that of stepping n_steps steps.
 
-    The k-th applies L, makes nine more NumPy calls and two Gram-Schmidt
-    passes over k vectors (8 k d^2 flops streaming 32 k d^2 bytes).
+    The k-th vector applies L, makes nine more NumPy calls and two
+    Gram-Schmidt passes over k vectors (8 k d^2 flops streaming 32 k d^2
+    bytes), so m vectors cost a m + c m^2, solved here for m.
     """
     c = 20 * d * d
-    return _rhs_cost(d) + 9 * CALL_FLOPS + c, c
-
-
-def _span_cost(m: int, n_steps: int, d: int) -> int:
-    """Work of a Krylov span of n_steps steps with m basis vectors, its checks and its states.
-
-    A check at k vectors is T4(dt H_k) (three products) and its n_steps-th
-    power by repeated squaring. A span is checked about once where the
-    Hochbruck-Lubich bound falls below 1, well short of m, and once or
-    twice near m, so the checks cost about two at m; the states double the
-    last one's T4. A caller that wants only the end state skips the
-    states, so its spans are charged slightly more than they cost, and
-    :func:`_krylov_target` keeps one decision for both kinds of caller.
-    """
-    a, c = _vector_work(d)
-    product = 2 * m**3 + 2 * CALL_FLOPS
-    check = (3 + n_steps.bit_length() + n_steps.bit_count()) * product
-    return a * m + c * m * m + 2 * check + n_steps.bit_length() * product + 2 * n_steps * m * m
+    a = 4 * d**3 + 15 * CALL_FLOPS + c
+    return int((math.sqrt(a * a + 4 * c * n_steps * _step_cost(d)) - a) / (2 * c))
 
 
 _SIZES = np.arange(1.0, KRYLOV_MAX_BASIS + 1)
@@ -417,15 +397,15 @@ def _basis_estimate(coherent: float, dissipative: float) -> int | None:
     return int(m[ok.argmax()]) if ok.any() else None
 
 
-@lru_cache(maxsize=256)  # models built from mazes of one size share most dissipative widths
 def _krylov_target(n_steps: int, dt: float, widths: tuple[float, float], d: int) -> int:
-    """Steps the next Krylov basis should cover; 0 when stepping them is predicted to cost less.
+    """Steps the next Krylov basis should cover; 0 when no basis is predicted to fit its budget.
 
     The longest span of at most n_steps steps whose basis, by
     :func:`_basis_estimate` or its exact size min(4n + 1, d^2), fits in
-    KRYLOV_MAX_BASIS, if its :func:`_span_cost` per step is below
-    :func:`_step_cost`. ``widths`` are the quarter widths of L's spectrum
-    along the imaginary and the real axis, per unit time.
+    KRYLOV_MAX_BASIS, if that basis is within the span's :func:`_budget`,
+    the cap that stops the basis as it is built. ``widths`` are the
+    quarter widths of L's spectrum along the imaginary and the real axis,
+    per unit time.
     """
 
     def size(n: int) -> int:
@@ -442,7 +422,7 @@ def _krylov_target(n_steps: int, dt: float, widths: tuple[float, float], d: int)
         else:
             too_long = n
         n = (fits + too_long) // 2
-    return fits if fits and _span_cost(m_fits, fits, d) < fits * _step_cost(d) else 0
+    return fits if fits and m_fits <= _budget(fits, d) else 0
 
 
 def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound: float, rows: bool = True):
@@ -469,8 +449,7 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     measured; once a check that the prediction placed has failed, the
     next waits for the prediction to reach ROUNDOFF itself. The basis
     stops when the end state is resolved, at min(4 n_steps + 1, d^2) or
-    KRYLOV_MAX_BASIS vectors, or at the most vectors whose work
-    (:func:`_vector_work`) is within stepping's.
+    KRYLOV_MAX_BASIS vectors, or at the :func:`_budget` of the span.
 
     Returns the basis, one flattened matrix per row; the coefficients of
     the leading states it resolves, one state per row (all n_steps unless
@@ -483,8 +462,7 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     d = r0.shape[0]
     exact = min(4 * n_steps + 1, d * d)
     limit = min(exact, KRYLOV_MAX_BASIS)
-    a, c = _vector_work(d)  # the budget a m + c m^2 <= n_steps * _step_cost(d), solved for m
-    cap = max(1, min(limit, int((math.sqrt(a * a + 4 * c * n_steps * _step_cost(d)) - a) / (2 * c))))
+    cap = max(1, min(limit, _budget(n_steps, d)))
     beta = np.linalg.norm(r0)
     basis = np.empty((cap, d * d))
     hess = np.zeros((cap + 1, cap))
@@ -562,8 +540,8 @@ def _krylov_states(
     Each basis from :func:`_krylov_span` covers the steps that
     :func:`_krylov_target` picks and advances the state to the last step
     it resolves, where the next basis starts. The rest is stepped, after
-    a basis that its work budget stopped or when no further basis is
-    predicted to pay; when not even the first one is, nothing is returned
+    a basis that its :func:`_budget` stopped or when no further basis is
+    predicted to fit one; when not even the first one is, nothing is returned
     and the caller steps the span. Without ``rows`` each basis hands on
     only its end state, from its last check, and the exit occupation of
     the steps before it is not computed. Returns the states up to, not
@@ -574,16 +552,14 @@ def _krylov_states(
     d = model.dim
     dt = model.params.dt
     exit_index = model.sink_exit
-    dissipative = (form.rate.max() + form.gain.sum(axis=1).max()) / 4
+    widths = (model._coherent_width, (form.rate.max() + form.gain.sum(axis=1).max()) / 4)
     samples = [*range(every, n_steps, every), n_steps]
     states = []
     r = _to_real(state.matrix)
     done = 0
-    # A span whose basis costs more than stepping even without the coherent
-    # part is stepped before that part's width (an eigendecomposition) is needed.
-    step_rest = not _krylov_target(n_steps, dt, (0.0, dissipative), d)
+    step_rest = False
     while done < n_steps and not step_rest:
-        target = _krylov_target(n_steps - done, dt, (model._coherent_width, dissipative), d)
+        target = _krylov_target(n_steps - done, dt, widths, d)
         if not target:
             break
         basis, ys, step_rest = _krylov_span(r, target, dt, form, bound, rows=rows)
@@ -654,10 +630,12 @@ def propagate(
     negative, the span is stepped: trace conservation is checked after
     every step and the final state validated, and any failure raises
     :class:`IntegrationError` with the index of the first bad step,
-    offset by ``first_step``. When ``exit_trace`` is given (length
-    n_steps) it receives the exit-node occupation after each step; its
-    last entry equals the returned state's.
+    offset by ``first_step``. When ``exit_trace`` is given it receives
+    the exit-node occupation after each step, and its last entry equals
+    the returned state's; an array not of length n_steps raises ValueError.
     """
+    if exit_trace is not None and np.shape(exit_trace) != (n_steps,):
+        raise ValueError(f"exit_trace has shape {np.shape(exit_trace)}, expected ({n_steps},)")
     if n_steps == 0:
         return _stepped(state, model, _RealForm(model), 0, first_step, exit_trace)
     return _advance(state, model, n_steps, n_steps, first_step, exit_trace)[-1]

@@ -536,6 +536,32 @@ class TestKrylovSpan:
         assert counted.call_count == 400
         np.testing.assert_array_equal(out.matrix, stepped_outcome(initial_state(model), model, 100).matrix)
 
+    @pytest.mark.parametrize("size, p, n_steps", [(6, 0.3, 100), (4, 0.2, 300)], ids=["6x6-p0.3", "4x4-p0.2"])
+    def test_span_whose_basis_fits_the_budget_takes_it(self, size, p, n_steps):
+        # the basis these spans need fits within the budget that would stop
+        # it, and applies L fewer times than stepping's 4 per step
+        maze = generate_perfect_maze(size, size, seed=1)
+        model = build_model(maze, QSWParams(p=p, gamma=1.0, dt=0.1, t_final=100.0))
+        trace, stepped_trace = np.empty(n_steps), np.empty(n_steps)
+        with mock.patch.object(dynamics, "_rhs", wraps=_rhs) as counted:
+            out = propagate(initial_state(model), model, n_steps, exit_trace=trace)
+        assert counted.call_count < 4 * n_steps
+        stepped = stepped_outcome(initial_state(model), model, n_steps, stepped_trace)
+        np.testing.assert_allclose(out.matrix, stepped.matrix, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(trace, stepped_trace, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("length", [99, 101])
+    @pytest.mark.parametrize("p", [0.8, 0.05], ids=["krylov", "stepped"])
+    def test_exit_trace_of_wrong_length_is_refused(self, p, length):
+        # before any work, on a span that gets a basis and on one that is stepped
+        model = build_model(generate_perfect_maze(6, 6, seed=1), QSWParams(p=p, gamma=1.0, dt=0.1, t_final=100.0))
+        with (
+            mock.patch.object(dynamics, "_rhs", wraps=_rhs) as counted,
+            pytest.raises(ValueError, match=rf"^exit_trace has shape \({length},\), expected \(100,\)$"),
+        ):
+            propagate(initial_state(model), model, 100, exit_trace=np.empty(length))
+        assert counted.call_count == 0
+
     @pytest.mark.parametrize("cut", ["basis cap", "work budget"])
     def test_spans_cut_short_match_stepping(self, cut):
         # Every basis here aims at the whole rest of the span. One capped at
