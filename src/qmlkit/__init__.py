@@ -24,12 +24,9 @@ from .embedding import (
     LabeledDataset1D,
     TrainConfig,
     classify,
-    embed,
     gram,
     gradient,
     loss,
-    overlap_exact,
-    swap_test,
     synth_dataset,
     train_embedding,
 )
@@ -78,7 +75,6 @@ __all__ = [
     "classify",
     "degrees",
     "deserialize",
-    "embed",
     "evaluate",
     "evolve",
     "generate_perfect_maze",
@@ -87,11 +83,9 @@ __all__ = [
     "initial_state",
     "lindblad_rhs",
     "loss",
-    "overlap_exact",
     "p_sink_from_integral",
     "run_episode",
     "serialize",
-    "swap_test",
     "synth_dataset",
     "toggle_link",
     "train",

@@ -28,7 +28,6 @@ from .maze import MazeFormatError, deserialize, generate_perfect_maze, serialize
 
 # dests of the flags that name an input or output file
 PATH_DESTS = ("maze", "policy", "dataset", "model", "output", "states_out", "policy_out", "model_out", "dataset_out")
-SAMPLED_SHOTS = 100  # embed-gram --shots when --mode sampled leaves it out
 
 
 def _seed(text: str) -> int:
@@ -206,14 +205,14 @@ def cmd_embed_gram(args) -> int:
     for flag, value in (("--seed", args.seed), ("--shots", args.shots)):
         if not sampled and value is not None:
             raise ValueError(f"{flag} applies only to --mode sampled")
-    shots = SAMPLED_SHOTS if args.shots is None else args.shots
+    shots = embedding.SAMPLED_SHOTS if args.shots is None else args.shots
     dataset = _dataset_from(args)
     if args.model:
         with open(args.model, "r", encoding="utf-8") as fh:
             model = embedding.model_from_json(fh.read())
     else:
         model = embedding.EmbeddingModel(tuple(args.thetas))
-    g = embedding.gram(dataset, model, mode=args.mode, shots=shots, seed=args.seed)
+    g = embedding.gram(dataset, model, mode=args.mode, shots=args.shots, seed=args.seed)
     file_config = {
         "dataset": _dataset_label(args),
         "thetas": ",".join(repr(t) for t in model.thetas),
@@ -291,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="angles JSON from embed-train")
     p.add_argument("--thetas", type=float, nargs=3, default=(0.0, 0.0, 0.0), metavar=("T1", "T2", "T3"))
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p.add_argument("--shots", type=int, default=None, help=f"shots per entry, sampled mode only (default {SAMPLED_SHOTS})")
+    p.add_argument("--shots", type=int, default=None, help=f"shots per entry, sampled mode only (default {embedding.SAMPLED_SHOTS})")
     p.add_argument("--seed", type=_seed, default=None, help="master seed, sampled mode only (required there)")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_embed_gram)

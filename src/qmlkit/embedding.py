@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .header import config_header
-from .states import PureState
 
 N_THETAS = 3
 SHIFT = np.pi / 2
 MAX_SHOTS = int(np.iinfo(np.int64).max)  # numpy's binomial takes an int64 count
+SAMPLED_SHOTS = 100  # gram's shots when mode="sampled" leaves them out
 
 
 @dataclass(frozen=True)
@@ -109,14 +109,6 @@ def synth_dataset(n_per_class: int, seed: int) -> LabeledDataset1D:
     return LabeledDataset1D(points=points, labels=labels)
 
 
-def rotation_y(angle: float) -> np.ndarray:
-    """Single-qubit rotation exp(-i*angle*Y/2) in the half-angle convention."""
-    if not np.isfinite(angle):
-        raise ValueError("rotation angle must be finite")
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def _embed_batch(xs: np.ndarray, thetas) -> np.ndarray:
     """States for a batch of points: shape (n, 2) for one angle set, or
     (m, n, 2) for a stack of m sets, shape (m, 3).
@@ -133,34 +125,6 @@ def _embed_batch(xs: np.ndarray, thetas) -> np.ndarray:
         a, b = cc[..., k, :] * a + (-ss[..., k, :]) * b, ss[..., k, :] * a + cc[..., k, :] * b
         a, b = c * a + ms * b, ms * a + c * b
     return np.stack([a, b], axis=-1)
-
-
-def embed(x: float, model: EmbeddingModel) -> PureState:
-    """Upload one point through the circuit."""
-    if not np.isfinite(x):
-        raise ValueError("x must be finite")
-    return PureState(_embed_batch(np.array([x]), model.thetas)[0])
-
-
-def overlap_exact(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2, clipped to [0, 1] against roundoff."""
-    v = abs(a.overlap_with(b)) ** 2
-    return float(min(1.0, v))
-
-
-def swap_test(a: PureState, b: PureState, shots: int, seed) -> float:
-    """Sampled overlap estimate from the three-qubit SWAP test.
-
-    The ancilla reads 0 with probability (1 + |<a|b>|^2) / 2; the
-    estimate 2 * (count_0 / shots) - 1 is clamped at zero, where shot
-    noise would otherwise drive it negative.
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    p0 = 0.5 * (1.0 + overlap_exact(a, b))
-    rng = np.random.default_rng(seed)
-    count0 = int(rng.binomial(shots, p0))
-    return max(0.0, 2.0 * count0 / shots - 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,27 +156,38 @@ def _overlap_table(states_row: np.ndarray, states_col: np.ndarray) -> np.ndarray
     return np.abs(states_row.conj() @ states_col.T) ** 2
 
 
-def gram(dataset, model: EmbeddingModel, mode: str = "exact", shots: int = 100, seed: int | None = None) -> GramMatrix:
+def _exact_gram(states: np.ndarray) -> np.ndarray:
+    """|<x_i|x_j>|^2 of n states, clipped to at most 1 against roundoff and symmetrised, with a unit diagonal."""
+    overlap = np.minimum(1.0, _overlap_table(states, states))
+    m = 0.5 * (overlap + overlap.T)
+    np.fill_diagonal(m, 1.0)
+    return m
+
+
+def gram(dataset, model: EmbeddingModel, mode: str = "exact", shots: int | None = None, seed: int | None = None) -> GramMatrix:
     """Pairwise overlap matrix of the embedded points.
 
-    ``mode="exact"`` computes |<x_i|x_j>|^2 analytically (unit diagonal
-    by construction). ``mode="sampled"`` runs :func:`swap_test` on each
-    pair i <= j, drawing every count from one stream,
-    ``SeedSequence(seed)``, in column order: j = 0..n-1, then i = 0..j.
-    Entry (i, j) depends on seed, shots and the overlaps of the pairs up
-    to it in that order, not on (seed, i, j) alone, since numpy's binomial
-    draws use a variable share of the stream. Column order puts the pairs
-    of the first k points first, so the leading k x k block of an n-point
-    matrix equals the k-point matrix bit for bit.
+    ``mode="exact"`` computes |<x_i|x_j>|^2 analytically; it takes no
+    ``shots`` or ``seed``. ``mode="sampled"`` simulates the SWAP test on
+    each pair i <= j: a binomial draw counts the ancilla's zeros over
+    ``shots`` runs (default SAMPLED_SHOTS), each of probability
+    (1 + |<x_i|x_j>|^2) / 2, and the estimate 2 count / shots - 1 is
+    clamped at zero against shot noise. All counts come from one stream,
+    ``SeedSequence(seed)``, in column order (j = 0..n-1, then i = 0..j):
+    entry (i, j) depends on the overlaps of all pairs up to it, not on
+    (seed, i, j) alone, since numpy's binomial draws use a variable share
+    of the stream, and the leading k x k block of an n-point matrix
+    equals the k-point matrix bit for bit.
     """
     points = dataset.points if isinstance(dataset, LabeledDataset1D) else _as_points(dataset)
     states = _embed_batch(points, model.thetas)
-    overlap = np.minimum(1.0, _overlap_table(states, states))
     if mode == "exact":
-        m = 0.5 * (overlap + overlap.T)
-        np.fill_diagonal(m, 1.0)
-        return GramMatrix(m)
+        for name, value in (("shots", shots), ("seed", seed)):
+            if value is not None:
+                raise ValueError(f"{name} applies only to mode='sampled', got {name}={value!r}")
+        return GramMatrix(_exact_gram(states))
     if mode == "sampled":
+        shots = SAMPLED_SHOTS if shots is None else shots
         for name, value in (("shots", shots), ("seed", seed)):
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -220,6 +195,7 @@ def gram(dataset, model: EmbeddingModel, mode: str = "exact", shots: int = 100, 
             raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
+        overlap = np.minimum(1.0, _overlap_table(states, states))
         # read as (j, i), tril_indices lists the upper triangle column by column
         j, i = np.tril_indices(points.size)
         rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
@@ -254,22 +230,18 @@ def _loss_and_gradient(model: EmbeddingModel, points: np.ndarray, pairs) -> tupl
         sets[2 * k + 2, k] -= SHIFT
     states = _embed_batch(points, sets)
     base = states[0]
-    overlap = np.minimum(1.0, _overlap_table(base, base))
-    m = 0.5 * (overlap + overlap.T)
-    value, grad = 0.0, np.zeros(N_THETAS)
-    (si, sj), (ci, cj) = pairs
+    m = _exact_gram(base)
+    (si, sj), (ci, cj) = pairs  # a dataset holds both classes, so cross pairs exist
+    value, grad = float(np.mean(m[ci, cj])), np.zeros(N_THETAS)
     if len(si):
         value += float(np.mean(1.0 - m[si, sj]))
-    if len(ci):
-        value += float(np.mean(m[ci, cj]))
     for k in range(N_THETAS):
         plus, minus = _overlap_table(states[2 * k + 1 : 2 * k + 3], base)
         half_diff = 0.5 * (plus - minus)
         d_gram = half_diff + half_diff.T
         if len(si):
             grad[k] -= np.mean(d_gram[si, sj])
-        if len(ci):
-            grad[k] += np.mean(d_gram[ci, cj])
+        grad[k] += np.mean(d_gram[ci, cj])
     return value, grad
 
 

@@ -10,8 +10,11 @@ and imports nothing from the package; its classical RK4 integrator
 works on the complex density matrix, not on the package's real form.
 The literal embedding trainer is the package's original per-angle
 gradient-descent loop, copied in with its einsums; from the package it
-takes only the angle record and the synthetic dataset. Maze
-connectivity is counted by union-find over a plain edge list.
+takes only the angle record and the synthetic dataset. The SWAP test
+is sampled one pair at a time, the per-pair reference for the batched
+sampled Gram matrix. Maze connectivity is counted by union-find over a
+plain edge list. The smallest Krylov basis that resolves a span is
+found by projecting the generator onto every leading block of it.
 """
 
 import numpy as np
@@ -167,6 +170,21 @@ def random_pure_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray
     return np.outer(v, v.conj())
 
 
+def swap_test(a, b, shots: int, seed) -> float:
+    """Sampled overlap estimate of two PureStates from the three-qubit SWAP test.
+
+    The ancilla reads 0 with probability (1 + |<a|b>|^2) / 2; the
+    estimate 2 * (count_0 / shots) - 1 is clamped at zero, where shot
+    noise would otherwise drive it negative.
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    p0 = 0.5 * (1.0 + min(1.0, abs(a.overlap_with(b)) ** 2))
+    rng = np.random.default_rng(seed)
+    count0 = int(rng.binomial(shots, p0))
+    return max(0.0, 2.0 * count0 / shots - 1.0)
+
+
 def _literal_embed(xs, thetas) -> np.ndarray:
     """States RX(x) RY(t3) RX(x) RY(t2) RX(x) RY(t1) RX(x)|0>, one einsum per gate."""
     c, s = np.cos(xs / 2.0), np.sin(xs / 2.0)
@@ -228,3 +246,21 @@ def literal_train_embedding(n_per_class: int, data_seed: int, learning_rate: flo
                 grad[k] += weight * float(np.mean(d_gram[i, j]))
         thetas = thetas - learning_rate * grad
     return EmbeddingModel(tuple(thetas)).thetas, curve, theta_log
+
+
+def smallest_resolving_size(basis, apply, t4, dt: float, n_steps: int) -> int | None:
+    """The fewest leading vectors of an orthonormal Krylov basis that resolve a span's end state.
+
+    ``apply`` maps a basis vector to the generator's image of it and
+    ``t4`` a square matrix to its RK4 polynomial. The generator is
+    projected onto the whole basis once; each leading block of that
+    projection then gives the end state T4(dt H)^n_steps e1, resolved once
+    its last two coefficients fall below machine epsilon times its norm.
+    Returns None when even the whole basis does not resolve it.
+    """
+    projected = basis @ np.array([apply(v) for v in basis]).T
+    for size in range(1, len(basis) + 1):
+        y = np.linalg.matrix_power(t4(dt * projected[:size, :size]), n_steps)[:, 0]
+        if np.linalg.norm(y[-2:]) <= np.finfo(float).eps * np.linalg.norm(y):
+            return size
+    return None

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from qmlkit.embedding import (
+    SAMPLED_SHOTS,
     EmbeddingModel,
     GramMatrix,
     LabeledDataset1D,
@@ -12,13 +13,9 @@ from qmlkit.embedding import (
     classify,
     dataset_from_json,
     dataset_to_json,
-    embed,
     gradient,
     gram,
     loss,
-    overlap_exact,
-    rotation_y,
-    swap_test,
     synth_dataset,
     train_embedding,
     write_gram_csv,
@@ -26,9 +23,14 @@ from qmlkit.embedding import (
 )
 from qmlkit.states import PureState
 
-from oracles import literal_train_embedding
+from oracles import literal_train_embedding, swap_test
 
 ZERO_MODEL = EmbeddingModel((0.0, 0.0, 0.0))
+
+
+def embedded_states(points, model: EmbeddingModel) -> list[PureState]:
+    """One validated state per point, from the package's batched embedding."""
+    return [PureState(amps) for amps in _embed_batch(np.asarray(points, dtype=float), model.thetas)]
 
 
 def states_with_overlap(v: float) -> tuple[PureState, PureState]:
@@ -55,28 +57,26 @@ class TestEmbed:
     def test_zero_angles_collapse_to_single_rotation(self):
         # four same-axis X rotations by x compose to RX(4x), whose action
         # on |0> is (cos 2x, -i sin 2x) in the half-angle convention
-        for x in (-1.3, 0.2, 0.9, 2.4):
-            state = embed(x, ZERO_MODEL)
+        xs = np.array([-1.3, 0.2, 0.9, 2.4])
+        for x, state in zip(xs, _embed_batch(xs, ZERO_MODEL.thetas)):
             expected = np.array([np.cos(2 * x), -1j * np.sin(2 * x)])
-            np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+            np.testing.assert_allclose(state, expected, atol=1e-12)
 
     def test_zero_input_leaves_only_y_rotations(self):
         thetas = (0.4, -1.2, 0.7)
-        state = embed(0.0, EmbeddingModel(thetas))
+        state = _embed_batch(np.array([0.0]), thetas)[0]
         total = sum(thetas)
         expected = np.array([np.cos(total / 2), np.sin(total / 2)])
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+        np.testing.assert_allclose(state, expected, atol=1e-12)
 
     def test_output_normalized(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             model = EmbeddingModel(tuple(rng.uniform(-np.pi, np.pi, 3)))
-            state = embed(rng.uniform(-5, 5), model)
-            assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
+            state = _embed_batch(np.array([rng.uniform(-5, 5)]), model.thetas)[0]
+            assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            embed(np.nan, ZERO_MODEL)
         with pytest.raises(ValueError):
             EmbeddingModel((0.0, np.inf, 0.0))
 
@@ -96,48 +96,26 @@ class TestEmbed:
             np.testing.assert_array_equal(row.view(np.int64), _embed_batch(xs, thetas).view(np.int64))
 
 
-class TestRotationY:
-    def test_zero_angle_is_identity(self):
-        np.testing.assert_allclose(rotation_y(0.0), np.eye(2), atol=1e-15)
-
-    def test_inverse_rotation(self):
-        theta = 0.7321
-        np.testing.assert_allclose(
-            rotation_y(theta) @ rotation_y(-theta), np.eye(2), atol=1e-15
-        )
-
-    def test_unitarity(self):
-        rng = np.random.default_rng(7)
-        for angle in rng.uniform(-10, 10, size=50):
-            u = rotation_y(angle)
-            dev = np.max(np.abs(u.conj().T @ u - np.eye(2)))
-            assert dev <= 1e-12
-
-    def test_non_finite_angle_rejected(self):
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError):
-                rotation_y(bad)
-
-
 class TestOverlapExact:
+    # the off-diagonal entries of gram(mode="exact")
     def test_self_overlap(self):
-        state = embed(0.37, ZERO_MODEL)
-        assert overlap_exact(state, state) == pytest.approx(1.0, abs=1e-12)
+        g = gram(np.array([0.37, 0.37]), ZERO_MODEL, mode="exact").matrix
+        assert g[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_states(self):
-        a = PureState(np.array([1.0, 0.0]))
-        b = PureState(np.array([0.0, 1.0]))
-        assert overlap_exact(a, b) == 0.0
+        # x = 0 embeds to |0>, x = pi/4 to -i|1>
+        g = gram(np.array([0.0, np.pi / 4]), ZERO_MODEL, mode="exact").matrix
+        assert g[0, 1] == pytest.approx(0.0, abs=1e-30)
 
     def test_zero_angle_closed_form(self):
         for xi, xj in ((0.1, 0.5), (-0.7, 0.3), (1.0, 2.2)):
-            value = overlap_exact(embed(xi, ZERO_MODEL), embed(xj, ZERO_MODEL))
+            value = gram(np.array([xi, xj]), ZERO_MODEL, mode="exact").matrix[0, 1]
             assert value == pytest.approx(np.cos(2 * (xj - xi)) ** 2, abs=1e-12)
 
 
 class TestSwapTest:
     def test_identical_states_certain(self):
-        state = embed(0.5, ZERO_MODEL)
+        (state,) = embedded_states([0.5], ZERO_MODEL)
         for seed in range(5):
             assert swap_test(state, state, shots=50, seed=seed) == 1.0
 
@@ -232,7 +210,7 @@ class TestGram:
         ds = synth_dataset(4, seed=6)
         model = EmbeddingModel((0.7, -1.1, 0.4))
         g = gram(ds, model, mode="sampled", shots=100, seed=9).matrix
-        states = [embed(x, model) for x in ds.points]
+        states = embedded_states(ds.points, model)
         rng = np.random.default_rng(np.random.SeedSequence(9))
         for j in range(len(ds)):
             for i in range(j + 1):
@@ -278,6 +256,17 @@ class TestGram:
         ds = synth_dataset(3, seed=0)
         a = gram(ds, ZERO_MODEL, mode="sampled", shots=np.int64(10), seed=np.int32(4)).matrix
         b = gram(ds, ZERO_MODEL, mode="sampled", shots=10, seed=4).matrix
+        np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("name", ["shots", "seed"])
+    def test_exact_rejects_sampling_arguments(self, name):
+        with pytest.raises(ValueError, match=f"^{name} applies only to mode='sampled', got {name}=5$"):
+            gram(synth_dataset(2, seed=0), ZERO_MODEL, **{name: 5})
+
+    def test_sampled_shots_default(self):
+        ds = synth_dataset(3, seed=0)
+        a = gram(ds, ZERO_MODEL, mode="sampled", seed=4).matrix
+        b = gram(ds, ZERO_MODEL, mode="sampled", shots=SAMPLED_SHOTS, seed=4).matrix
         np.testing.assert_array_equal(a, b)
 
     def test_sampled_requires_seed(self):
@@ -328,7 +317,7 @@ class TestGram:
         # column, each estimate clamped and written into both triangles
         ds = synth_dataset(15, seed=3)
         model = EmbeddingModel((0.7, -1.1, 0.4))
-        states = np.array([embed(x, model).amplitudes for x in ds.points])
+        states = np.array([state.amplitudes for state in embedded_states(ds.points, model)])
         overlap = np.minimum(1.0, np.abs(states.conj() @ states.T) ** 2)
         expected = np.zeros_like(overlap)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -387,12 +376,8 @@ class TestLoss:
         model = ZERO_MODEL
         # same-class pair overlaps exactly 1, so only the cross term remains
         value = loss(model, ds)
-        cross = np.mean(
-            [
-                overlap_exact(embed(0.3, model), embed(0.9, model)),
-                overlap_exact(embed(0.3, model), embed(0.9, model)),
-            ]
-        )
+        a, b = embedded_states([0.3, 0.9], model)
+        cross = abs(a.overlap_with(b)) ** 2  # both cross pairs, (0, 2) and (1, 2)
         assert value == pytest.approx(cross, abs=1e-12)
 
     def test_perfectly_separated_classes(self):

@@ -116,11 +116,6 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix.basis_state(3, 3)
 
-    def test_from_pure(self):
-        s = PureState(np.array([np.sqrt(0.25), np.sqrt(0.75) * 1j]))
-        rho = DensityMatrix.from_pure(s)
-        assert rho.populations == pytest.approx([0.25, 0.75])
-
     def test_matrix_read_only(self):
         rho = DensityMatrix.basis_state(2, 0)
         with pytest.raises(ValueError):
