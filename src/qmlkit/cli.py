@@ -165,6 +165,15 @@ def cmd_rl_eval(args) -> int:
     return 0
 
 
+def _resolve(args, source: str, defaults: dict) -> None:
+    """Give each flag in ``defaults`` its default; refuse one that was set next to ``source``."""
+    for dest, default in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif getattr(args, source) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} does not apply with --{source}")
+
+
 def _dataset_from(args) -> embedding.LabeledDataset1D:
     if args.dataset:
         with open(args.dataset, "r", encoding="utf-8") as fh:
@@ -177,6 +186,7 @@ def _dataset_label(args) -> str:
 
 
 def cmd_embed_train(args) -> int:
+    _resolve(args, "dataset", {"n_per_class": 20, "data_seed": 0})
     dataset = _dataset_from(args)
     config = embedding.TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
     model, curve, theta_log = embedding.train_embedding(dataset, config)
@@ -206,6 +216,8 @@ def cmd_embed_gram(args) -> int:
         if not sampled and value is not None:
             raise ValueError(f"{flag} applies only to --mode sampled")
     shots = embedding.SAMPLED_SHOTS if args.shots is None else args.shots
+    _resolve(args, "dataset", {"n_per_class": 5, "data_seed": 0})
+    _resolve(args, "model", {"thetas": (0.0, 0.0, 0.0)})
     dataset = _dataset_from(args)
     if args.model:
         with open(args.model, "r", encoding="utf-8") as fh:
@@ -273,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed-train", help="train the data-uploading embedding")
     p.add_argument("--dataset", default=None, help="dataset JSON (default: synthesize)")
-    p.add_argument("--n-per-class", type=int, default=20)
-    p.add_argument("--data-seed", type=_seed, default=0)
+    p.add_argument("--n-per-class", type=int, default=None, help="synthetic points per class (default 20)")
+    p.add_argument("--data-seed", type=_seed, default=None, help="synthetic data seed (default 0)")
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--epochs", type=int, default=300)
     p.add_argument("--seed", type=_seed, required=True)
@@ -285,10 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed-gram", help="compute a Gram matrix of pairwise overlaps")
     p.add_argument("--dataset", default=None, help="dataset JSON (default: synthesize)")
-    p.add_argument("--n-per-class", type=int, default=5)
-    p.add_argument("--data-seed", type=_seed, default=0)
+    p.add_argument("--n-per-class", type=int, default=None, help="synthetic points per class (default 5)")
+    p.add_argument("--data-seed", type=_seed, default=None, help="synthetic data seed (default 0)")
     p.add_argument("--model", default=None, help="angles JSON from embed-train")
-    p.add_argument("--thetas", type=float, nargs=3, default=(0.0, 0.0, 0.0), metavar=("T1", "T2", "T3"))
+    p.add_argument("--thetas", type=float, nargs=3, default=None, metavar=("T1", "T2", "T3"), help="angles (default 0 0 0)")
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     p.add_argument("--shots", type=int, default=None, help=f"shots per entry, sampled mode only (default {embedding.SAMPLED_SHOTS})")
     p.add_argument("--seed", type=_seed, default=None, help="master seed, sampled mode only (required there)")

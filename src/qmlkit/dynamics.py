@@ -32,10 +32,10 @@ time-integral definition 2 Gamma * integral of rho_nn is kept as a
 cross-check, see :func:`p_sink_from_integral`.
 
 Integration runs on one real matrix. K has the form -i H_c - diag(delta)
-with H_c = (1-p) H real symmetric and delta real, and a Hermitian
-rho = X + iY (X symmetric, Y antisymmetric) is held exactly by
-R = X + Y, with X = (R + R^T)/2 and Y = (R - R^T)/2. The generator in
-that form is
+with H_c = (1-p) H real symmetric and delta = (column sums of G)/2. A
+Hermitian rho = X + iY (X symmetric, Y antisymmetric) is held exactly
+by R = X + Y, with X = (R + R^T)/2 and Y = (R - R^T)/2. The generator
+in that form is
 
     L(R) = (H_c R - R H_c)^T - (delta_i + delta_j) R_ij + diag(G diag(R)),
 
@@ -56,8 +56,7 @@ calibrated by the checks before, says a check may pass, and a caller
 that wants only the end state takes it from the check that passed,
 without the states before it. The basis stops when its newest
 coefficients fall to roundoff, so the result agrees with stepping to
-about 1e-14, or at the budget of vectors that decided it, and the rest
-of the span is stepped. A span longer than one basis of at most
+about 1e-14. A span longer than one basis of at most
 KRYLOV_MAX_BASIS vectors covers is split. The Krylov path is taken
 only when dt times a norm bound of L is at most 2.6: the spectrum of L
 lies in Re z <= 0, and |T4| <= 1 on the left half-disk of radius 2.6,
@@ -173,28 +172,27 @@ class QSWParams:
 
 @dataclass(frozen=True, eq=False)
 class LindbladModel:
-    """Generator of one maze topology in the (K, G) form above.
+    """Generator of one maze topology, held as the real pair (H_c, G) of the form above.
 
-    ``K`` (complex) and ``G`` (real) are read-only and span the maze
+    ``H`` is the real symmetric H_c = (1-p) H, so K = -i H - diag(column
+    sums of G)/2, and ``G`` the gain; both are read-only and span the maze
     cells plus the sink, which is the last basis state. The validation
-    variant from :meth:`without_sink` has Gamma left out of both.
+    variant from :meth:`without_sink` has Gamma left out of G, and so of K.
     """
 
-    K: np.ndarray
+    H: np.ndarray
     G: np.ndarray
     sink_exit: int
     entrance: int
     params: QSWParams
 
     def __post_init__(self):
-        if np.count_nonzero(self.K.real) > np.count_nonzero(self.K.real.diagonal()):
-            raise ValueError("K: real part must be diagonal")
-        if not np.array_equal(self.K.imag, self.K.imag.T):
-            raise ValueError("K: imaginary part must be symmetric")
+        if not np.array_equal(self.H, self.H.T):
+            raise ValueError("H must be symmetric")
 
     @property
     def dim(self) -> int:
-        return self.K.shape[0]
+        return self.H.shape[0]
 
     @property
     def sink(self) -> int:
@@ -203,25 +201,16 @@ class LindbladModel:
 
     @cached_property
     def _coherent_width(self) -> float:
-        """Half the spread of H_c's spectrum: a quarter of the width of the commutator's."""
-        levels = np.linalg.eigvalsh(-self.K.imag)
+        """Half the spread of H's spectrum: a quarter of the width of the commutator's."""
+        levels = np.linalg.eigvalsh(self.H)
         return float(levels[-1] - levels[0]) / 2
 
     def without_sink(self) -> "LindbladModel":
-        """The same model with Gamma left out of K and G (validation mode)."""
-        coherent = self.K + np.diag(0.5 * self.G.sum(axis=0))
+        """The same model with Gamma left out of G, and so of K (validation mode)."""
         gain = self.G.copy()
         gain[self.sink, self.sink_exit] = 0.0
-        k, g = _generator(coherent, gain)
-        return replace(self, K=k, G=g)
-
-
-def _generator(coherent: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (K, G) with K = coherent - diag(column sums of G) / 2."""
-    k = coherent - np.diag(0.5 * gain.sum(axis=0))
-    k.flags.writeable = False
-    gain.flags.writeable = False
-    return k, gain
+        gain.flags.writeable = False
+        return replace(self, G=gain)
 
 
 def build_model(maze: MazeGraph, params: QSWParams) -> LindbladModel:
@@ -231,23 +220,23 @@ def build_model(maze: MazeGraph, params: QSWParams) -> LindbladModel:
     degrees recomputed from the links as given, so the same call works
     for pristine perfect mazes and for topologies already edited by an
     agent; an isolated node has no links and so no hopping rates. A maze
-    too large for its (N+1) x (N+1) generator raises ValueError naming
-    its size and the bytes required.
+    too large for its two (N+1) x (N+1) generator matrices raises
+    ValueError naming its size and the bytes required.
     """
     n = maze.n_nodes
     p = params.p
     try:
-        ham = np.zeros((n + 1, n + 1), dtype=complex)
+        ham = np.zeros((n + 1, n + 1))
+        gain = np.zeros((n + 1, n + 1))
     except (MemoryError, ValueError) as exc:
         size = 16 * (n + 1) ** 2
         raise ValueError(f"maze {maze.width}x{maze.height} is too large: its generator needs {size} bytes") from exc
     adjacency = maze.adjacency
-    ham[:n, :n] = adjacency
-    gain = np.zeros((n + 1, n + 1))
+    ham[:n, :n] = (1.0 - p) * adjacency
     gain[:n, :n] = p * (adjacency / np.maximum(degrees(maze), 1) ** 2)
     gain[n, maze.exit] = 2.0 * params.gamma
-    k, g = _generator((-1j * (1.0 - p)) * ham, gain)
-    return LindbladModel(K=k, G=g, sink_exit=maze.exit, entrance=maze.entrance, params=params)
+    ham.flags.writeable = gain.flags.writeable = False
+    return LindbladModel(H=ham, G=gain, sink_exit=maze.exit, entrance=maze.entrance, params=params)
 
 
 def initial_state(model: LindbladModel) -> DensityMatrix:
@@ -256,7 +245,7 @@ def initial_state(model: LindbladModel) -> DensityMatrix:
 
 
 class _RealForm:
-    """H_c, delta and the work buffers of L for one model, built once per call.
+    """H_c (the model's ``H``), delta (derived from G here alone) and the work buffers of L, built once per call.
 
     The stage input Z is ``right[:d]``, the top block of
     ``right = [[Z], [-H_c]]``; :func:`_rhs` mirrors it into the right
@@ -265,8 +254,8 @@ class _RealForm:
 
     def __init__(self, model: LindbladModel):
         d = model.dim
-        h = -model.K.imag
-        delta = -model.K.real.diagonal()
+        h = model.H
+        delta = 0.5 * model.G.sum(axis=0)
         self.left = np.empty((d, 2 * d))
         self.left[:, :d] = h
         self.right = np.empty((2 * d, d))
@@ -355,9 +344,10 @@ def _step_cost(d: int) -> int:
 def _budget(n_steps: int, d: int) -> int:
     """The most Arnoldi vectors whose work is within that of stepping n_steps steps.
 
-    The k-th vector applies L, makes nine more NumPy calls and two
-    Gram-Schmidt passes over k vectors (8 k d^2 flops streaming 32 k d^2
-    bytes), so m vectors cost a m + c m^2, solved here for m.
+    It decides a span and never stops a basis. The k-th vector applies
+    L, makes nine more NumPy calls and two Gram-Schmidt passes over k
+    vectors (8 k d^2 flops streaming 32 k d^2 bytes), so m vectors cost
+    a m + c m^2, solved here for m.
     """
     c = 20 * d * d
     a = 4 * d**3 + 15 * CALL_FLOPS + c
@@ -402,10 +392,9 @@ def _krylov_target(n_steps: int, dt: float, widths: tuple[float, float], d: int)
 
     The longest span of at most n_steps steps whose basis, by
     :func:`_basis_estimate` or its exact size min(4n + 1, d^2), fits in
-    KRYLOV_MAX_BASIS, if that basis is within the span's :func:`_budget`,
-    the cap that stops the basis as it is built. ``widths`` are the
-    quarter widths of L's spectrum along the imaginary and the real axis,
-    per unit time.
+    KRYLOV_MAX_BASIS, if that basis is within the span's :func:`_budget`.
+    ``widths`` are the quarter widths of L's spectrum along the imaginary
+    and the real axis, per unit time.
     """
 
     def size(n: int) -> int:
@@ -448,21 +437,19 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     vectors). A failed check resets the prediction to the tail it
     measured; once a check that the prediction placed has failed, the
     next waits for the prediction to reach ROUNDOFF itself. The basis
-    stops when the end state is resolved, at min(4 n_steps + 1, d^2) or
-    KRYLOV_MAX_BASIS vectors, or at the :func:`_budget` of the span.
+    stops when the end state is resolved, at the latest at
+    min(4 n_steps + 1, d^2) vectors, or unresolved at KRYLOV_MAX_BASIS.
 
-    Returns the basis, one flattened matrix per row; the coefficients of
-    the leading states it resolves, one state per row (all n_steps unless
-    it stopped short, possibly none); and whether the work budget stopped
-    it, in which case the rest of the span is cheaper to step. With
-    ``rows`` false, a basis that resolves the end state returns that
-    state's coefficients alone, as one vector, taken from the check that
-    passed if one did.
+    Returns the basis, one flattened matrix per row, and the coefficients
+    of the leading states it resolves, one state per row: all n_steps, or
+    after an unresolved stop at least the (m - 1) // 4 of degree m - 1 or
+    less in L. With ``rows`` false, a basis that resolves the end state
+    returns that state's coefficients alone, as one vector, taken from the
+    check that passed if one did.
     """
     d = r0.shape[0]
     exact = min(4 * n_steps + 1, d * d)
-    limit = min(exact, KRYLOV_MAX_BASIS)
-    cap = max(1, min(limit, _budget(n_steps, d)))
+    cap = min(exact, KRYLOV_MAX_BASIS)
     beta = np.linalg.norm(r0)
     basis = np.empty((cap, d * d))
     hess = np.zeros((cap + 1, cap))
@@ -504,14 +491,14 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     if resolved and not rows:
         if y is None or len(y) != m:
             y = np.linalg.matrix_power(_t4(dt * hess[:m, :m]), n_steps)[:, 0]
-        return basis[:m], beta * y, False
+        return basis[:m], beta * y
     if t4 is None or len(t4) != m:
         t4 = _t4(dt * hess[:m, :m])
     ys = _powers(t4, beta, n_steps)
     if not resolved:  # keep the states resolved to roundoff, and those of degree m - 1 or less in L
         unresolved = np.linalg.norm(ys[:, -2:], axis=1) > ROUNDOFF * np.linalg.norm(ys, axis=1)
         ys = ys[: max(int(np.argmax(unresolved)) if unresolved.any() else n_steps, (m - 1) // 4)]
-    return basis[:m], ys, not resolved and cap < limit
+    return basis[:m], ys
 
 
 def _validated(r: np.ndarray) -> DensityMatrix | None:
@@ -539,15 +526,15 @@ def _krylov_states(
 
     Each basis from :func:`_krylov_span` covers the steps that
     :func:`_krylov_target` picks and advances the state to the last step
-    it resolves, where the next basis starts. The rest is stepped, after
-    a basis that its :func:`_budget` stopped or when no further basis is
-    predicted to fit one; when not even the first one is, nothing is returned
-    and the caller steps the span. Without ``rows`` each basis hands on
-    only its end state, from its last check, and the exit occupation of
-    the steps before it is not computed. Returns the states up to, not
-    including, the first that fails :func:`_validated` or whose stepping
-    drifts the trace; ``exit_trace`` holds the exit occupation up to the
-    last returned state, each sample's entry equal to that state's.
+    it resolves, where the next basis starts. The rest is stepped once no
+    further basis is predicted to fit its :func:`_budget`; when not even
+    the first one is, nothing is returned and the caller steps the span.
+    Without ``rows`` each basis hands on only its end state, from its
+    last check, and the exit occupation of the steps before it is not
+    computed. Returns the states up to, not including, the first that
+    fails :func:`_validated` or whose stepping drifts the trace;
+    ``exit_trace`` holds the exit occupation up to the last returned
+    state, each sample's entry equal to that state's.
     """
     d = model.dim
     dt = model.params.dt
@@ -557,17 +544,14 @@ def _krylov_states(
     states = []
     r = _to_real(state.matrix)
     done = 0
-    step_rest = False
-    while done < n_steps and not step_rest:
+    while done < n_steps:
         target = _krylov_target(n_steps - done, dt, widths, d)
         if not target:
             break
-        basis, ys, step_rest = _krylov_span(r, target, dt, form, bound, rows=rows)
+        basis, ys = _krylov_span(r, target, dt, form, bound, rows=rows)
         first = done + 1  # the step of the first row of ys
         if ys.ndim == 1:  # the end state alone
             ys, first = ys[None], done + target
-        if not len(ys):
-            break
         exit_trace[first - 1 : first - 1 + len(ys)] = ys @ basis[:, exit_index * (d + 1)]
         done = first + len(ys) - 1
         while len(states) < len(samples) and samples[len(states)] <= done:
@@ -632,13 +616,23 @@ def propagate(
     :class:`IntegrationError` with the index of the first bad step,
     offset by ``first_step``. When ``exit_trace`` is given it receives
     the exit-node occupation after each step, and its last entry equals
-    the returned state's; an array not of length n_steps raises ValueError.
+    the returned state's. A state not of the model's dimension, a negative
+    n_steps or an exit_trace not of length n_steps raises ValueError.
     """
+    _check_start(state, model, n_steps)
     if exit_trace is not None and np.shape(exit_trace) != (n_steps,):
         raise ValueError(f"exit_trace has shape {np.shape(exit_trace)}, expected ({n_steps},)")
     if n_steps == 0:
         return _stepped(state, model, _RealForm(model), 0, first_step, exit_trace)
     return _advance(state, model, n_steps, n_steps, first_step, exit_trace)[-1]
+
+
+def _check_start(state: DensityMatrix, model: LindbladModel, n_steps: int) -> None:
+    """Refuse, before any work, a state not of the model's dimension or a negative n_steps."""
+    if state.dim != model.dim:
+        raise ValueError(f"initial state dimension {state.dim} does not match model {model.dim}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
 
 
 def _advance(
@@ -743,22 +737,15 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, sample_every: int = 10) ->
     The sink population series must come out non-decreasing, anything
     else is likewise an integration failure.
     """
-    if rho0.dim != model.dim:
-        raise ValueError(f"initial state dimension {rho0.dim} does not match model {model.dim}")
+    n_steps, dt = model.params.n_steps, model.params.dt
+    _check_start(rho0, model, n_steps)
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
-    params = model.params
-    n_steps = params.n_steps
-    sink = model.sink
-    n = model.sink_exit
-
+    n, sink = model.sink_exit, model.sink
     exit_occ = np.empty(n_steps + 1)
     exit_occ[0] = rho0.matrix[n, n].real
     snapshots = [rho0, *_advance(rho0, model, n_steps, sample_every, 0, exit_occ[1:])]
-    sample_steps = [0, *range(sample_every, n_steps, sample_every), n_steps]
-
-    dt = params.dt
-    sample_steps = np.array(sample_steps)
+    sample_steps = np.array([0, *range(sample_every, n_steps, sample_every), n_steps])
     p_sink = np.array([s.matrix[sink, sink].real for s in snapshots])
     if np.any(np.diff(p_sink) < -1e-9):
         raise IntegrationError("sink population series is not monotone (dt too large?)", dt=dt)

@@ -296,8 +296,9 @@ def train_embedding(dataset: LabeledDataset1D, config: TrainConfig) -> tuple[Emb
 
 def classify(points, model: EmbeddingModel, train_dataset: LabeledDataset1D) -> tuple[str, ...]:
     """Assign each point the class with the larger mean overlap against
-    the training points of that class; ties go to class A."""
-    points = np.asarray(points, dtype=float)
+    the training points of that class; ties go to class A. ``points``
+    are checked as :func:`gram` checks them."""
+    points = _as_points(points)
     states = _embed_batch(points, model.thetas)
     train_states = _embed_batch(train_dataset.points, model.thetas)
     overlaps = _overlap_table(states, train_states)

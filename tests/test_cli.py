@@ -353,6 +353,26 @@ class TestEmbedCommands:
         assert result.returncode == 0
         assert exact.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("embed-gram --dataset data.json --n-per-class 50 --data-seed 9", "--n-per-class does not apply with --dataset"),
+            ("embed-gram --dataset data.json --data-seed 9", "--data-seed does not apply with --dataset"),
+            ("embed-gram --model model.json --thetas 1 2 3", "--thetas does not apply with --model"),
+            ("embed-train --seed 0 --dataset data.json --n-per-class 50", "--n-per-class does not apply with --dataset"),
+        ],
+        ids=["gram-n-per-class", "gram-data-seed", "gram-thetas", "train-n-per-class"],
+    )
+    def test_flags_a_file_overrides_are_refused(self, argv, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([
+            "embed-train", "--n-per-class", "2", "--epochs", "1", "--seed", "0", "-o", "log.csv",
+            "--model-out", "model.json", "--dataset-out", "data.json",
+        ]) == 0
+        assert cli.main([*argv.split(), "-o", "out.csv"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out.csv").exists()
+
     def test_dataset_file_round_trip(self, tmp_path):
         data = tmp_path / "data.json"
         log = tmp_path / "log.csv"

@@ -82,12 +82,12 @@ class TestBuildModel:
         assert np.count_nonzero(model.G[:36, :36]) == 70  # two ordered pairs per tree edge
 
     def test_hamiltonian_structure(self):
-        # the coherent part -i(1-p)H is K's whole imaginary part
+        # H is the coherent part (1-p) H_maze, zero-padded for the sink
         maze = generate_perfect_maze(3, 3, seed=0)
         model = build_model(maze, QSWParams(p=0.5))
         padded = np.zeros((10, 10))
         padded[:9, :9] = maze.adjacency
-        np.testing.assert_array_equal(model.K.imag, -0.5 * padded)
+        np.testing.assert_array_equal(model.H, 0.5 * padded)
 
     @pytest.mark.parametrize("width", [2**31, 10**30], ids=["2^31", "10^30"])
     def test_grid_too_large_names_size_and_bytes(self, width):
@@ -106,35 +106,42 @@ class TestBuildModel:
         assert model.G[1, 2] == 1.0 and model.G[2, 1] == 1.0
 
     def test_effective_generator_entries(self):
-        # K = -i(1-p) H - (p/2) diag(loss) - Gamma |n><n|, loss_j = 1/d_j
+        # K = -i(1-p) H - (p/2) diag(loss) - Gamma |n><n|, loss_j = 1/d_j,
+        # which the model holds as H and G: K = -i H - diag(column sums of G)/2
         maze = path_maze(3)  # degrees 1, 2, 1; exit is node 2
         model = build_model(maze, QSWParams(p=0.3, gamma=0.7))
         ham = np.zeros((4, 4))
         ham[:3, :3] = maze.adjacency
         damping = 0.15 * np.array([1.0, 0.5, 1.0, 0.0])
         damping[2] += 0.7
-        np.testing.assert_allclose(model.K, -0.7j * ham - np.diag(damping), atol=1e-15)
+
+        def k_of(m):
+            return -1j * m.H - np.diag(0.5 * m.G.sum(axis=0))
+
+        np.testing.assert_allclose(k_of(model), -0.7j * ham - np.diag(damping), atol=1e-15)
         assert model.G[3, 2] == 2 * 0.7
         plain = model.without_sink()
         damping[2] -= 0.7
-        np.testing.assert_allclose(plain.K, -0.7j * ham - np.diag(damping), atol=1e-15)
+        np.testing.assert_allclose(k_of(plain), -0.7j * ham - np.diag(damping), atol=1e-15)
+        np.testing.assert_array_equal(plain.H, model.H)
         assert not plain.G[3].any()
         np.testing.assert_array_equal(plain.G[:3, :3], model.G[:3, :3])
 
-    @pytest.mark.parametrize("entry", [(0, 1), (3, 2)], ids=["upper", "lower"])
-    def test_rejects_off_diagonal_real_part(self, entry):
-        model = build_model(path_maze(3), QSWParams(p=0.3))
-        k = model.K.copy()
-        k[entry] += 1e-3
-        with pytest.raises(ValueError, match="K: real part must be diagonal"):
-            LindbladModel(k, model.G, model.sink_exit, model.entrance, model.params)
+    def test_generator_is_read_only(self):
+        model = build_model(path_maze(3), QSWParams(p=0.3, gamma=0.7))
+        for m in (model, model.without_sink()):
+            for name in ("H", "G"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(m, name)[0, 1] = 1.0
+        assert model.G[3, 2] == 2 * 0.7  # without_sink left the original's G alone
 
     def test_rejects_asymmetric_imaginary_part(self):
+        # K's imaginary part is -H
         model = build_model(path_maze(3), QSWParams(p=0.3))
-        k = model.K.copy()
-        k[0, 1] += 1e-3j
-        with pytest.raises(ValueError, match="K: imaginary part must be symmetric"):
-            LindbladModel(k, model.G, model.sink_exit, model.entrance, model.params)
+        h = model.H.copy()
+        h[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="^H must be symmetric$"):
+            LindbladModel(h, model.G, model.sink_exit, model.entrance, model.params)
 
 
 class TestLindbladRhs:
@@ -451,7 +458,7 @@ class TestKrylovSpan:
         # only to 1e-6..1e-10
         model = build_model(generate_perfect_maze(3, 3, seed=1), QSWParams(p=p, gamma=1.0, dt=0.1, t_final=30.0))
         form = _RealForm(model)
-        basis, ys, _ = _krylov_span(_to_real(initial_state(model).matrix), 100, 0.1, form, _norm_bound(form))
+        basis, ys = _krylov_span(_to_real(initial_state(model).matrix), 100, 0.1, form, _norm_bound(form))
         assert len(ys) == 100
         np.testing.assert_allclose(basis @ basis.T, np.eye(len(basis)), rtol=0, atol=1e-14)
 
@@ -465,7 +472,7 @@ class TestKrylovSpan:
         form = _RealForm(model)
         r0 = _to_real(start.matrix)
         with mock.patch.object(dynamics, "_t4", wraps=_t4) as checks:
-            basis, ys, _ = _krylov_span(r0, n_steps, 0.1, form, _norm_bound(form))
+            basis, ys = _krylov_span(r0, n_steps, 0.1, form, _norm_bound(form))
         assert len(ys) == n_steps and checks.call_count <= 6
         size = smallest_resolving_size(basis, generator_image(form), _t4, 0.1, n_steps)
         if size is None:
@@ -480,7 +487,7 @@ class TestKrylovSpan:
         start = propagate(initial_state(model), model, 20_000)
         assert start.matrix[-1, -1].real > 0.9
         form = _RealForm(model)
-        basis, ys, _ = _krylov_span(_to_real(start.matrix), 100, 0.1, form, _norm_bound(form))
+        basis, ys = _krylov_span(_to_real(start.matrix), 100, 0.1, form, _norm_bound(form))
         assert len(ys) == 100
         size = smallest_resolving_size(basis, generator_image(form), _t4, 0.1, 100)
         if size is None:
@@ -511,7 +518,7 @@ class TestKrylovSpan:
         dt = 0.02 if p == 0.0 else 0.1
         model = build_model(generate_perfect_maze(4, 4, seed=1), QSWParams(p=p, gamma=1.0, dt=dt, t_final=30.0))
         form = _RealForm(model)
-        basis, ys, _ = _krylov_span(_to_real(initial_state(model).matrix), 100, dt, form, _norm_bound(form))
+        basis, ys = _krylov_span(_to_real(initial_state(model).matrix), 100, dt, form, _norm_bound(form))
         assert len(ys) == 100
         dissipative = (form.rate.max() + form.gain.sum(axis=1).max()) / 4
         estimate = _basis_estimate(model._coherent_width * 100 * dt, dissipative * 100 * dt)
@@ -554,31 +561,37 @@ class TestKrylovSpan:
             propagate(initial_state(model), model, 100, exit_trace=np.empty(length))
         assert counted.call_count == 0
 
-    @pytest.mark.parametrize("cut", ["basis cap", "work budget"])
+    @pytest.mark.parametrize("n_steps", [0, 10])
+    @pytest.mark.parametrize("p", [0.8, 0.05], ids=["krylov", "stepped"])
+    def test_state_of_another_dimension_is_refused(self, p, n_steps):
+        model = build_model(generate_perfect_maze(3, 3, seed=1), QSWParams(p=p, gamma=1.0, dt=0.1, t_final=100.0))
+        with (
+            mock.patch.object(dynamics, "_rhs", wraps=_rhs) as counted,
+            pytest.raises(ValueError, match=r"^initial state dimension 5 does not match model 10$"),
+        ):
+            propagate(DensityMatrix.basis_state(5, 0), model, n_steps)
+        assert counted.call_count == 0
+
+    def test_negative_n_steps_is_refused(self):
+        model = build_model(generate_perfect_maze(3, 3, seed=1), QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0))
+        with pytest.raises(ValueError, match=r"^n_steps must be non-negative, got -3$"):
+            propagate(initial_state(model), model, -3)
+
+    @pytest.mark.parametrize("cut", ["basis cap"])
     def test_spans_cut_short_match_stepping(self, cut):
         # Every basis here aims at the whole rest of the span. One capped at
-        # 24 vectors is restarted from its last resolved step; one stopped
-        # by its work budget (here a tenth of stepping's) leaves the rest
-        # to stepping.
+        # 24 vectors is restarted from its last resolved step.
         maze = generate_perfect_maze(4, 4, seed=2)
         for p in (0.05, 0.5):
             model = build_model(maze, QSWParams(p=p, gamma=0.7, dt=0.1, t_final=30.0))
-            if cut == "basis cap":
-                limit = mock.patch.object(dynamics, "KRYLOV_MAX_BASIS", 24)
-            else:
-                limit = mock.patch.object(dynamics, "_step_cost", lambda d, cost=dynamics._step_cost: cost(d) // 10)
             trace, stepped_trace = np.empty(300), np.empty(300)
             with (
                 mock.patch.object(dynamics, "_krylov_target", lambda n_steps, *rest: n_steps),
-                limit,
+                mock.patch.object(dynamics, "KRYLOV_MAX_BASIS", 24),
                 mock.patch.object(dynamics, "_krylov_span", wraps=_krylov_span) as spans,
-                mock.patch.object(dynamics, "_rk4_step", wraps=dynamics._rk4_step) as steps,
             ):
                 out = propagate(initial_state(model), model, 300, exit_trace=trace)
-            if cut == "basis cap":
-                assert spans.call_count >= 3
-            else:
-                assert spans.call_count == 1 and 0 < steps.call_count < 300
+            assert spans.call_count >= 3
             stepped = stepped_outcome(initial_state(model), model, 300, stepped_trace)
             np.testing.assert_allclose(out.matrix, stepped.matrix, rtol=0, atol=1e-13)
             np.testing.assert_allclose(trace, stepped_trace, rtol=0, atol=1e-13)
@@ -712,7 +725,7 @@ class TestEvolve:
 
     def test_dimension_mismatch_rejected(self):
         model = build_model(path_maze(2), QSWParams(p=0.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^initial state dimension 5 does not match model 3$"):
             evolve(DensityMatrix.basis_state(5, 0), model)
 
 

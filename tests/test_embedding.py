@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -518,6 +520,20 @@ class TestClassify:
         ds = LabeledDataset1D(np.array([0.0, 0.0, np.pi / 4, np.pi / 4]), ("A", "A", "B", "B"))
         preds = classify(ds.points, ZERO_MODEL, ds)
         assert preds == ds.labels
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([np.nan, 0.5], "points must be finite"),
+            ([[0.1, 0.2], [0.3, 0.4]], "points must be a non-empty 1-d array"),
+            ([], "points must be a non-empty 1-d array"),
+        ],
+        ids=["nan", "2-d", "empty"],
+    )
+    def test_rejects_the_points_gram_rejects(self, points, message):
+        ds = LabeledDataset1D(np.array([0.0, np.pi / 4]), ("A", "B"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classify(points, ZERO_MODEL, ds)
 
 
 class TestDatasetJson:
