@@ -15,23 +15,27 @@ spread over the maze, not the entrance projector. ``_rhs`` and
 built once, as the stepping path of ``propagate`` runs them; each timed
 RK4 step starts from a fresh copy of R, since the step works in place.
 
-``propagate`` itself evaluates a span in a Krylov subspace of the
-generator where its stability guard allows and the basis it predicts
-fits within the work of stepping: at p = 0.8 and p = 1 in every case
-here, and at p = 0.05 only on the 3x3 maze, whose 100-entry state space
-a basis spans exactly; the 6x6 and 10x10 spans at p = 0.05 are stepped.
-At p = 0.3, near where the decision turns, every span but the 6x6 tail
-gets a basis.
+``propagate`` evaluates every span of at least 16 steps in a Krylov
+subspace of the generator where its stability guard allows, which is
+every case here. On the 3x3 maze, whose 100-entry state space one basis
+can close, each new basis vector is orthogonalised against all earlier
+ones; on 6x6 and 10x10 against the last 8 only, so that a vector costs
+about one application of the generator however large the basis grows.
+A basis holds at most 60 vectors, and a span that needs more (every
+p = 0.05 span here at 6x6 and 10x10) is split, the next basis aiming at
+the steps the last one resolved.
 ``test_propagate_interval`` times the first interval of an episode (100
 steps from the entrance) and ``test_propagate_tail`` the last one, 300
 steps from the state after 700, where the walker has spread and partly
-escaped. Both record in ``extra_info`` what one untimed call does:
-``rhs_calls`` in all, and per Krylov span the basis size, the ``_t4``
-calls (the span's convergence checks, and its states' T4 unless the
-last check hands it on) and the ``_powers`` calls (the rows of the
-states before the end, which a call without ``exit_trace`` does not
-ask for); the per-span entries are None on a stepped call, which has
-no span.
+escaped. ``test_evolve_long_horizon`` times ``evolve`` over 10 000 steps
+at 6x6 and p = 0.8, sampled every 100: a run of capped bases, each
+restarted where the last one stopped resolving. All three record in
+``extra_info`` what one untimed call does: ``rhs_calls`` in all, and per
+Krylov span the basis size, the ``_t4`` calls (the span's convergence
+checks, and its states' T4 unless the last check hands it on) and the
+``_powers`` calls (the rows of the states before the end, which a call
+without ``exit_trace`` does not ask for); the per-span entries are None
+on a stepped call, which has no span.
 """
 
 from unittest import mock
@@ -49,6 +53,7 @@ from qmlkit.dynamics import (
     _t4,
     _to_real,
     build_model,
+    evolve,
     initial_state,
     propagate,
 )
@@ -84,8 +89,8 @@ def test_rk4_step(benchmark, case):
     benchmark.pedantic(_rk4_step, setup=lambda: ((r.copy(), DT, form), {}), rounds=2000)
 
 
-def span_counts(start, model, n_steps, first_step=0):
-    """Work counts of one propagate call: _rhs calls, and basis vectors, _t4 and _powers calls per Krylov span."""
+def span_counts(call):
+    """Work counts of one call: _rhs calls, and basis vectors, _t4 and _powers calls per Krylov span."""
     bases = []
 
     def span(*args, **kwargs):
@@ -99,7 +104,7 @@ def span_counts(start, model, n_steps, first_step=0):
         mock.patch.object(dynamics, "_powers", wraps=_powers) as powers,
         mock.patch.object(dynamics, "_krylov_span", span),
     ):
-        propagate(start, model, n_steps, first_step=first_step)
+        call()
     spans = len(bases)
     return {
         "rhs_calls": rhs.call_count,
@@ -115,7 +120,7 @@ def test_propagate_interval(benchmark, case):
     start = initial_state(model)
     out = benchmark.pedantic(propagate, args=(start, model, STEPS), rounds=20)
     assert out.dim == model.dim
-    benchmark.extra_info.update(span_counts(start, model, STEPS))
+    benchmark.extra_info.update(span_counts(lambda: propagate(start, model, STEPS)))
 
 
 def test_propagate_tail(benchmark, case):
@@ -123,7 +128,15 @@ def test_propagate_tail(benchmark, case):
     start = propagate(initial_state(model), model, 700)
     out = benchmark.pedantic(propagate, args=(start, model, 300), kwargs={"first_step": 700}, rounds=20)
     assert out.dim == model.dim
-    benchmark.extra_info.update(span_counts(start, model, 300, first_step=700))
+    benchmark.extra_info.update(span_counts(lambda: propagate(start, model, 300, first_step=700)))
+
+
+def test_evolve_long_horizon(benchmark):
+    model = build_model(generate_perfect_maze(6, 6, seed=1), QSWParams(p=0.8, gamma=1.0, dt=DT, t_final=1000.0))
+    start = initial_state(model)
+    traj = benchmark.pedantic(evolve, args=(start, model, 100), rounds=5)
+    assert traj.sample_steps[-1] == 10_000
+    benchmark.extra_info.update(span_counts(lambda: evolve(start, model, 100)))
 
 
 def test_build_model(benchmark, case):

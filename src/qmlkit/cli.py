@@ -200,7 +200,7 @@ def cmd_embed_train(args) -> int:
     if args.model_out:
         doc = {"config": file_config, "thetas": list(model.thetas)}
         with open(args.model_out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
+            json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
     if args.dataset_out:
         with open(args.dataset_out, "w", encoding="utf-8", newline="\n") as fh:

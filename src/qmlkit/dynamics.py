@@ -46,26 +46,19 @@ T4(dt L) R with T4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
 
 Integration is fixed-step RK4 for determinism. A span of n steps is the
 polynomial T4(dt L)^n R, which :func:`propagate` evaluates in a Krylov
-subspace of L (Saad 1992; Hochbruck & Lubich 1997) wherever the
-Hochbruck-Lubich error bounds and the widths of L's spectrum predict a
-basis whose work is within that of stepping: a 100-step interval at
-p = 0.8 needs about 35 vectors where stepping applies L 400 times, but
-at p = 0.05 about 80, whose Gram-Schmidt passes cost more, so that span
-is stepped. The end state is checked only where Saad's (1992) error estimate,
-calibrated by the checks before, says a check may pass, and a caller
-that wants only the end state takes it from the check that passed,
-without the states before it. The basis stops when its newest
-coefficients fall to roundoff, so the result agrees with stepping to
-about 1e-14. A span longer than one basis of at most
-KRYLOV_MAX_BASIS vectors covers is split. The Krylov path is taken
-only when dt times a norm bound of L is at most 2.6: the spectrum of L
-lies in Re z <= 0, and |T4| <= 1 on the left half-disk of radius 2.6,
-so stepping is stable there and has no growing component that the
-Krylov subspace would drop. Outside that disk, when a Krylov state is
-not a valid density matrix, or when its escape probability comes out
-negative (roundoff on a value below the basis's resolution of about
-1e-16 of the state's norm), the span is stepped: a step that drifts the
-trace or produces non-finite values raises :class:`IntegrationError`
+subspace of L (Saad 1992; Hochbruck & Lubich 1997) when it has at least
+KRYLOV_MIN_SPAN steps, and steps otherwise. Beyond 3x3 mazes each basis
+vector is orthogonalised against the last KRYLOV_WINDOW only, as in the
+KIOPS solver (Gaudreault, Rainwater & Tokman 2018), so it costs about
+one application of L however large the basis grows. The basis stops
+when its newest coefficients fall to roundoff, so the result agrees with
+stepping to about 1e-14. The Krylov path is taken only when dt times a
+norm bound of L is at most 2.6: the spectrum of L lies in Re z <= 0, and
+|T4| <= 1 on the left half-disk of radius 2.6, so stepping is stable
+there and has no growing component that the Krylov subspace would drop.
+Outside that disk, or when a Krylov state is not a valid density matrix
+with non-negative populations, the span is stepped: a step that drifts
+the trace or produces non-finite values raises :class:`IntegrationError`
 instead of renormalizing, and so does an invalid end state, naming the
 first bad step.
 """
@@ -73,7 +66,6 @@ first bad step.
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -116,22 +108,24 @@ TRACE_DRIFT_LIMIT = 1e-6
 # |T4(z)| <= 1 on the left half-disk |z| <= 2.6 (not on |z| <= 2.7), so RK4
 # is stable there; propagate takes the Krylov path only inside it.
 KRYLOV_RADIUS = 2.6
-# The largest Arnoldi basis, and the fewest vectors at which its
-# convergence is checked.
-KRYLOV_MAX_BASIS = 120
+# The largest Arnoldi basis, the fewest vectors at which its convergence is
+# checked, and the shortest span that gets one.
+KRYLOV_MAX_BASIS = 60
 KRYLOV_MIN_CHECK = 4
-# The two paths' work is compared in flops. A NumPy call's fixed overhead
-# counts as CALL_FLOPS, and a byte that Gram-Schmidt streams from the basis
-# as one flop, since those passes are memory-bound (both fitted to timings
-# of _rhs, RK4 steps and Gram-Schmidt passes at d = 10-101 on one x86-64
-# core with OpenBLAS).
-CALL_FLOPS = 35_000
+KRYLOV_MIN_SPAN = 16
+# A basis is orthogonalised in full on a state space of at most
+# KRYLOV_FULL_SPACE dimensions (2x2 and 3x3 mazes), else against the last
+# KRYLOV_WINDOW vectors only.
+KRYLOV_FULL_SPACE = 100
+KRYLOV_WINDOW = 8
 ROUNDOFF = np.finfo(float).eps
 LOG_ROUNDOFF = math.log(ROUNDOFF)
 
 
 def whole_steps(span: float, dt: float, name: str) -> int:
     """Number of dt steps in ``span``; raises ValueError unless it is a whole number."""
+    if not math.isfinite(span / dt):
+        raise ValueError(f"{name}={span} spans too many steps of dt={dt}")
     steps = round(span / dt)
     if not math.isclose(steps * dt, span, rel_tol=1e-9):
         raise ValueError(f"{name}={span} is not a whole multiple of dt={dt}")
@@ -145,7 +139,8 @@ class QSWParams:
     p:       classical/quantum mixing in [0, 1] (0 = coherent, 1 = classical)
     gamma:   sink transfer rate, > 0
     dt:      RK4 step
-    t_final: integration horizon
+    t_final: integration horizon, a whole number of steps whose per-step
+             record (8 bytes a step) can be allocated
     """
 
     p: float
@@ -163,7 +158,11 @@ class QSWParams:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not 0.0 < self.dt <= self.t_final:
             raise ValueError("dt must satisfy 0 < dt <= t_final")
-        whole_steps(self.t_final, self.dt, "t_final")
+        steps = whole_steps(self.t_final, self.dt, "t_final")
+        try:
+            np.empty(steps + 1)  # the per-step record of evolve
+        except (MemoryError, ValueError) as exc:
+            raise ValueError(f"t_final={self.t_final} is too long for dt={self.dt}: its per-step record needs {8 * (steps + 1)} bytes") from exc
 
     @property
     def n_steps(self) -> int:
@@ -198,12 +197,6 @@ class LindbladModel:
     def sink(self) -> int:
         """Basis index of the sink state (last index)."""
         return self.dim - 1
-
-    @cached_property
-    def _coherent_width(self) -> float:
-        """Half the spread of H's spectrum: a quarter of the width of the commutator's."""
-        levels = np.linalg.eigvalsh(self.H)
-        return float(levels[-1] - levels[0]) / 2
 
     def without_sink(self) -> "LindbladModel":
         """The same model with Gamma left out of G, and so of K (validation mode)."""
@@ -323,8 +316,16 @@ def _t4(a: np.ndarray) -> np.ndarray:
     return t
 
 
-def _powers(t: np.ndarray, scale: float, n: int) -> np.ndarray:
-    """Rows T^k (scale e1) for k = 1..n: the recurrence y <- T y, evaluated by doubling."""
+def _unresolved(ys: np.ndarray) -> np.ndarray:
+    """Whether each row's last two coefficients exceed ROUNDOFF times its norm."""
+    return np.linalg.norm(ys[..., -2:], axis=-1) > ROUNDOFF * np.linalg.norm(ys, axis=-1)
+
+
+def _powers(t: np.ndarray, scale: float, n: int, least: int | None = None) -> np.ndarray:
+    """Rows T^k (scale e1) for k = 1..n: the recurrence y <- T y, evaluated by doubling.
+
+    Given ``least``, it stops once that many rows are known and the last is :func:`_unresolved`.
+    """
     ys = np.empty((n, len(t)))
     ys[0] = scale * t[:, 0]
     power, k = t, 1  # power = T^k while k rows are known
@@ -332,97 +333,25 @@ def _powers(t: np.ndarray, scale: float, n: int) -> np.ndarray:
         step = min(k, n - k)
         ys[k : k + step] = ys[:step] @ power.T
         k += step
+        if least is not None and k >= least and _unresolved(ys[k - 1]):
+            break
         power = power @ power
-    return ys
-
-
-def _step_cost(d: int) -> int:
-    """Work of one RK4 step: four applications of L (a d x 2d x d product, six NumPy calls) and eight more calls."""
-    return 16 * d**3 + 32 * CALL_FLOPS
-
-
-def _budget(n_steps: int, d: int) -> int:
-    """The most Arnoldi vectors whose work is within that of stepping n_steps steps.
-
-    It decides a span and never stops a basis. The k-th vector applies
-    L, makes nine more NumPy calls and two Gram-Schmidt passes over k
-    vectors (8 k d^2 flops streaming 32 k d^2 bytes), so m vectors cost
-    a m + c m^2, solved here for m.
-    """
-    c = 20 * d * d
-    a = 4 * d**3 + 15 * CALL_FLOPS + c
-    return int((math.sqrt(a * a + 4 * c * n_steps * _step_cost(d)) - a) / (2 * c))
-
-
-_SIZES = np.arange(1.0, KRYLOV_MAX_BASIS + 1)
-_LOG_SIZES = np.log(_SIZES)
-
-
-def _basis_estimate(coherent: float, dissipative: float) -> int | None:
-    """A priori size of the basis that resolves exp(tau L) R to roundoff, or None if over KRYLOV_MAX_BASIS.
-
-    ``coherent`` and ``dissipative`` are x = tau rho for the two parts of
-    L, whose spectra lie in intervals of length 4 rho on the imaginary and
-    the negative real axis. Hochbruck & Lubich (1997) bound the error of m
-    vectors, relative to ||R||, by 12 exp(-x^2/m) (e x/m)^m for m >= 2x in
-    the skew-Hermitian case (Theorem 4) and by 10 exp(-m^2/(5x)) for
-    sqrt(4x) <= m <= 2x, (10/x) exp(-x) (e x/m)^m for m >= 2x, in the
-    Hermitian one (Theorem 2). The estimate is the smallest m for which
-    both fall below machine epsilon. L is neither, but on the mazes and
-    walks here it comes within about 15 % of the measured size while the
-    coherent part dominates, and overshoots it otherwise.
-    """
-    m, log_m = _SIZES, _LOG_SIZES
-    floor = LOG_ROUNDOFF
-    ok = np.ones(m.size, dtype=bool)
-    x = coherent
-    if x > 0.0:
-        ok &= (m >= 2 * x) & (math.log(12) - x * x / m + m * (1 + math.log(x) - log_m) <= floor)
-    x = dissipative
-    if x > 0.0:
-        tail = math.log(10) - math.log(x) - x + m * (1 + math.log(x) - log_m)
-        within = m <= 2 * x
-        tail[within] = math.log(10) - m[within] ** 2 / (5 * x)
-        ok &= (m * m >= 4 * x) & (tail <= floor)
-    return int(m[ok.argmax()]) if ok.any() else None
-
-
-def _krylov_target(n_steps: int, dt: float, widths: tuple[float, float], d: int) -> int:
-    """Steps the next Krylov basis should cover; 0 when no basis is predicted to fit its budget.
-
-    The longest span of at most n_steps steps whose basis, by
-    :func:`_basis_estimate` or its exact size min(4n + 1, d^2), fits in
-    KRYLOV_MAX_BASIS, if that basis is within the span's :func:`_budget`.
-    ``widths`` are the quarter widths of L's spectrum along the imaginary
-    and the real axis, per unit time.
-    """
-
-    def size(n: int) -> int:
-        exact = min(4 * n + 1, d * d)
-        m = _basis_estimate(widths[0] * n * dt, widths[1] * n * dt)
-        return exact if m is None or m > exact else m
-
-    fits, too_long = 0, n_steps + 1  # size grows with n: bisect for the longest span that fits
-    n = n_steps
-    while n > fits:
-        m = size(n)
-        if m <= KRYLOV_MAX_BASIS:
-            fits, m_fits = n, m
-        else:
-            too_long = n
-        n = (fits + too_long) // 2
-    return fits if fits and m_fits <= _budget(fits, d) else 0
+    return ys[:k]
 
 
 def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound: float, rows: bool = True):
     """Coefficients of T4(dt L)^k R0 for k = 1, 2, ..., in an Arnoldi basis of L at R0.
 
-    Builds the orthonormal basis v_1 = vec(R0)/||R0||, v_2, ... of the
-    Krylov space of L (classical Gram-Schmidt, applied twice) and its
-    Hessenberg matrix H_m = V^T L V. The k-th state T4(dt L)^k R0 is
+    Builds the basis v_1 = vec(R0)/||R0||, v_2, ... of the Krylov space of
+    L and its Hessenberg matrix, with L V_m = V_{m+1} H̄_m. Each new vector
+    is orthogonalised against all earlier ones (classical Gram-Schmidt,
+    applied twice) on a state space of at most KRYLOV_FULL_SPACE
+    dimensions, else once against the last KRYLOV_WINDOW only, which
+    leaves the relation intact. The k-th state T4(dt L)^k R0 is
     V T4(dt H_m)^k e1 ||R0||: exact once m reaches 4k + 1 or the space
-    closes (||L v_m - V h|| at roundoff), and resolved before that when
-    its last two coefficients fall below machine epsilon times its norm.
+    closes (||L v_m - V h|| at roundoff, or m = d^2 for a full basis), and
+    resolved before that when its last two coefficients fall below
+    machine epsilon times its norm.
 
     The end state is checked where the log of its tail (those two
     coefficients relative to its norm) is predicted to reach
@@ -437,8 +366,8 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     vectors). A failed check resets the prediction to the tail it
     measured; once a check that the prediction placed has failed, the
     next waits for the prediction to reach ROUNDOFF itself. The basis
-    stops when the end state is resolved, at the latest at
-    min(4 n_steps + 1, d^2) vectors, or unresolved at KRYLOV_MAX_BASIS.
+    stops when the end state is resolved, at the latest where it is exact,
+    or unresolved at KRYLOV_MAX_BASIS.
 
     Returns the basis, one flattened matrix per row, and the coefficients
     of the leading states it resolves, one state per row: all n_steps, or
@@ -448,8 +377,10 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     check that passed if one did.
     """
     d = r0.shape[0]
-    exact = min(4 * n_steps + 1, d * d)
+    windowed = d * d > KRYLOV_FULL_SPACE
+    exact = 4 * n_steps + 1 if windowed else min(4 * n_steps + 1, d * d)  # d^2 vectors span the space only if independent
     cap = min(exact, KRYLOV_MAX_BASIS)
+    window = KRYLOV_WINDOW if windowed else cap
     beta = np.linalg.norm(r0)
     basis = np.empty((cap, d * d))
     hess = np.zeros((cap + 1, cap))
@@ -463,12 +394,15 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     for m in range(1, cap + 1):
         form.z[...] = basis[m - 1].reshape(d, d)
         w = _rhs(form).reshape(-1)  # a view of form.out, orthogonalized in place
-        v = basis[:m]
+        low = max(0, m - window)
+        v = basis[low:m]
         h = v @ w
         w -= h @ v
-        correction = v @ w
-        w -= correction @ v
-        hess[:m, m - 1] = h + correction
+        if not windowed:  # a second pass keeps a full basis orthonormal to roundoff
+            correction = v @ w
+            w -= correction @ v
+            h += correction
+        hess[low:m, m - 1] = h
         hess[m, m - 1] = norm = math.sqrt(w @ w)
         if m == exact or norm <= ROUNDOFF * bound:
             break
@@ -494,10 +428,11 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
         return basis[:m], beta * y
     if t4 is None or len(t4) != m:
         t4 = _t4(dt * hess[:m, :m])
-    ys = _powers(t4, beta, n_steps)
-    if not resolved:  # keep the states resolved to roundoff, and those of degree m - 1 or less in L
-        unresolved = np.linalg.norm(ys[:, -2:], axis=1) > ROUNDOFF * np.linalg.norm(ys, axis=1)
-        ys = ys[: max(int(np.argmax(unresolved)) if unresolved.any() else n_steps, (m - 1) // 4)]
+    exact_rows = (m - 1) // 4  # the states of degree m - 1 or less in L
+    ys = _powers(t4, beta, n_steps, None if resolved else exact_rows)
+    if not resolved:  # keep the states resolved to roundoff, and the exact ones
+        unresolved = _unresolved(ys)
+        ys = ys[: max(int(np.argmax(unresolved)) if unresolved.any() else len(ys), exact_rows)]
     return basis[:m], ys
 
 
@@ -505,10 +440,8 @@ def _validated(r: np.ndarray) -> DensityMatrix | None:
     """The state R holds, or None if it fails validation or has a negative population.
 
     The Krylov basis resolves entries to about 1e-16 of the state's norm,
-    so a population far below that, such as an escape probability or an
-    exit population near 1e-20, can come out negative, and stepping on
-    from a negative exit population drives the escape probability below
-    zero; stepping builds such populations step by step instead.
+    so a population far below that, such as an exit population near 1e-20,
+    can come out negative; stepping builds such populations step by step.
     """
     if not np.all(r.diagonal() >= 0.0):
         return None
@@ -522,16 +455,14 @@ def _krylov_states(
     state: DensityMatrix, model: LindbladModel, form: _RealForm, bound: float, n_steps: int, every: int,
     exit_trace: np.ndarray, rows: bool,
 ) -> list[DensityMatrix]:
-    """Validated states at steps every, 2 every, ..., n_steps, from Krylov spans where they pay.
+    """Validated states at steps every, 2 every, ..., n_steps, from Krylov spans.
 
-    Each basis from :func:`_krylov_span` covers the steps that
-    :func:`_krylov_target` picks and advances the state to the last step
-    it resolves, where the next basis starts. The rest is stepped once no
-    further basis is predicted to fit its :func:`_budget`; when not even
-    the first one is, nothing is returned and the caller steps the span.
-    Without ``rows`` each basis hands on only its end state, from its
-    last check, and the exit occupation of the steps before it is not
-    computed. Returns the states up to, not including, the first that
+    Each basis from :func:`_krylov_span` aims at the rest of the span (after
+    an unresolved one, at the steps that one resolved) and advances the
+    state to the last step it resolves; a rest shorter than
+    KRYLOV_MIN_SPAN steps is stepped. Without ``rows`` each basis hands on
+    only its end state, and the exit occupation of the steps before it is
+    not computed. Returns the states up to, not including, the first that
     fails :func:`_validated` or whose stepping drifts the trace;
     ``exit_trace`` holds the exit occupation up to the last returned
     state, each sample's entry equal to that state's.
@@ -539,19 +470,18 @@ def _krylov_states(
     d = model.dim
     dt = model.params.dt
     exit_index = model.sink_exit
-    widths = (model._coherent_width, (form.rate.max() + form.gain.sum(axis=1).max()) / 4)
     samples = [*range(every, n_steps, every), n_steps]
     states = []
     r = _to_real(state.matrix)
-    done = 0
-    while done < n_steps:
-        target = _krylov_target(n_steps - done, dt, widths, d)
-        if not target:
-            break
+    done, target = 0, n_steps
+    while n_steps - done >= KRYLOV_MIN_SPAN:
+        target = min(target, n_steps - done)
         basis, ys = _krylov_span(r, target, dt, form, bound, rows=rows)
         first = done + 1  # the step of the first row of ys
         if ys.ndim == 1:  # the end state alone
             ys, first = ys[None], done + target
+        else:  # after an unresolved basis, aim the next at the steps this one resolved
+            target = len(ys)
         exit_trace[first - 1 : first - 1 + len(ys)] = ys @ basis[:, exit_index * (d + 1)]
         done = first + len(ys) - 1
         while len(states) < len(samples) and samples[len(states)] <= done:
@@ -563,8 +493,6 @@ def _krylov_states(
             exit_trace[step - 1] = end[exit_index, exit_index]
             states.append(result)
         r = (ys[-1] @ basis).reshape(d, d)
-    if not done:
-        return states  # no basis pays: the caller steps every chunk
     for step in range(done + 1, n_steps + 1):
         _rk4_step(r, dt, form)
         if not abs(np.trace(r) - 1.0) <= TRACE_DRIFT_LIMIT:
@@ -607,17 +535,19 @@ def propagate(
     """Advance a state by n_steps RK4 steps and validate the result.
 
     Within the stability guard (dt times :func:`_norm_bound` at most
-    ``KRYLOV_RADIUS``) the span is evaluated by :func:`_krylov_states`,
-    in Krylov spans where they are predicted to pay, and its end state
-    validated as a :class:`DensityMatrix`. Outside the guard, when that
-    validation fails, or when the end state's sink population is
-    negative, the span is stepped: trace conservation is checked after
-    every step and the final state validated, and any failure raises
+    ``KRYLOV_RADIUS``) a span of at least KRYLOV_MIN_SPAN steps is
+    evaluated by :func:`_krylov_states`, in Krylov spans, and its end
+    state validated as a :class:`DensityMatrix`. Outside the guard, for a
+    shorter span, when that validation fails, or when one of the end
+    state's populations is negative, the span is stepped: trace
+    conservation is checked after every step and the final state
+    validated, and any failure raises
     :class:`IntegrationError` with the index of the first bad step,
     offset by ``first_step``. When ``exit_trace`` is given it receives
     the exit-node occupation after each step, and its last entry equals
     the returned state's. A state not of the model's dimension, a negative
-    n_steps or an exit_trace not of length n_steps raises ValueError.
+    n_steps or an exit_trace not of length n_steps raises ValueError, and
+    an n_steps that is not an int (a bool included) TypeError.
     """
     _check_start(state, model, n_steps)
     if exit_trace is not None and np.shape(exit_trace) != (n_steps,):
@@ -627,8 +557,15 @@ def propagate(
     return _advance(state, model, n_steps, n_steps, first_step, exit_trace)[-1]
 
 
+def _check_count(value, name: str) -> None:
+    """Refuse a step count that is not an int; a bool is refused too."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__} {value!r}")
+
+
 def _check_start(state: DensityMatrix, model: LindbladModel, n_steps: int) -> None:
-    """Refuse, before any work, a state not of the model's dimension or a negative n_steps."""
+    """Refuse, before any work, a state not of the model's dimension or an n_steps that is not a non-negative int."""
+    _check_count(n_steps, "n_steps")
     if state.dim != model.dim:
         raise ValueError(f"initial state dimension {state.dim} does not match model {model.dim}")
     if n_steps < 0:
@@ -731,14 +668,16 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, sample_every: int = 10) ->
     """Integrate from t = 0 to t_final, sampling every ``sample_every`` steps.
 
     Snapshots (including the final state) are validated density
-    matrices, taken from as few Krylov bases as pay (see
+    matrices, taken from as few Krylov bases as cover the horizon (see
     :func:`propagate`), so a failed invariant surfaces as an
     :class:`IntegrationError` from stepping the chunk where it occurs.
     The sink population series must come out non-decreasing, anything
-    else is likewise an integration failure.
+    else is likewise an integration failure. A ``sample_every`` below 1
+    raises ValueError, and one that is not an int TypeError.
     """
     n_steps, dt = model.params.n_steps, model.params.dt
     _check_start(rho0, model, n_steps)
+    _check_count(sample_every, "sample_every")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     n, sink = model.sink_exit, model.sink
@@ -798,6 +737,6 @@ def write_states_json(traj: Trajectory, path, config: dict | None = None) -> Non
         ],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        json.dump(doc, fh, sort_keys=True, allow_nan=False)
         fh.write("\n")
 

@@ -358,7 +358,7 @@ def model_from_json(text: str) -> EmbeddingModel:
 
 def dataset_to_json(dataset: LabeledDataset1D) -> str:
     doc = [{"x": float(x), "label": label} for x, label in zip(dataset.points, dataset.labels)]
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def dataset_from_json(text: str) -> LabeledDataset1D:

@@ -175,7 +175,7 @@ def serialize(maze: MazeGraph) -> str:
         "seed": maze.seed,
         "edges": maze.edges,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 _MAZE_KEYS = {"width", "height", "entrance", "exit", "seed", "edges"}

@@ -225,7 +225,7 @@ class Policy:
             "config": self.config,
             "policy": {self._key_str(k): a.label for k, a in self.table.items()},
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Policy":
@@ -272,12 +272,23 @@ class QLearningConfig:
     ε decays linearly from ``epsilon_start`` to ``epsilon_end`` over the
     first half of training and stays constant afterwards. The horizon
     is finite, so an undiscounted return (discount = 1) is the default.
+    ``learning_rate`` lies in (0, 1]; ``discount``, ``epsilon_start``
+    and ``epsilon_end`` lie in [0, 1]. Any other value, NaN or an
+    infinity included, raises ValueError naming the field.
     """
 
     learning_rate: float = 0.1
     discount: float = 1.0
     epsilon_start: float = 1.0
     epsilon_end: float = 0.05
+
+    def __post_init__(self):
+        if not 0.0 < self.learning_rate <= 1.0:
+            raise ValueError(f"learning_rate must lie in (0, 1], got {self.learning_rate!r}")
+        for name in ("discount", "epsilon_start", "epsilon_end"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,9 @@ takes only the angle record and the synthetic dataset. The SWAP test
 is sampled one pair at a time, the per-pair reference for the batched
 sampled Gram matrix. Maze connectivity is counted by union-find over a
 plain edge list. The smallest Krylov basis that resolves a span is
-found by projecting the generator onto every leading block of it.
+found with a reference Arnoldi process of its own, classical
+Gram-Schmidt against every earlier vector applied twice, so it is
+independent of the package's windowed basis.
 """
 
 import numpy as np
@@ -248,19 +250,46 @@ def literal_train_embedding(n_per_class: int, data_seed: int, learning_rate: flo
     return EmbeddingModel(tuple(thetas)).thetas, curve, theta_log
 
 
-def smallest_resolving_size(basis, apply, t4, dt: float, n_steps: int) -> int | None:
-    """The fewest leading vectors of an orthonormal Krylov basis that resolve a span's end state.
+def reference_arnoldi(apply, r0, size: int):
+    """An orthonormal Krylov basis of at most ``size`` vectors at ``r0`` and its Hessenberg matrix.
 
-    ``apply`` maps a basis vector to the generator's image of it and
-    ``t4`` a square matrix to its RK4 polynomial. The generator is
-    projected onto the whole basis once; each leading block of that
-    projection then gives the end state T4(dt H)^n_steps e1, resolved once
-    its last two coefficients fall below machine epsilon times its norm.
-    Returns None when even the whole basis does not resolve it.
+    ``apply`` maps a flattened vector to the generator's image of it.
+    Every new vector is orthogonalised against all earlier ones, twice.
+    Returns the basis, one vector per row, and the (m + 1) x m Hessenberg
+    matrix; the basis stops early when the space closes.
     """
-    projected = basis @ np.array([apply(v) for v in basis]).T
-    for size in range(1, len(basis) + 1):
-        y = np.linalg.matrix_power(t4(dt * projected[:size, :size]), n_steps)[:, 0]
+    v = np.ravel(r0) / np.linalg.norm(r0)
+    basis = [v]
+    hess = np.zeros((size + 1, size))
+    for m in range(size):
+        w = apply(basis[m])
+        scale = np.linalg.norm(w)
+        for _ in range(2):
+            block = np.array(basis)
+            coefficients = block @ w
+            w = w - coefficients @ block
+            hess[: m + 1, m] += coefficients
+        hess[m + 1, m] = np.linalg.norm(w)
+        if hess[m + 1, m] <= 1e-14 * scale:
+            return np.array(basis), hess[: m + 2, : m + 1]
+        if m + 1 < size:
+            basis.append(w / hess[m + 1, m])
+    return np.array(basis), hess
+
+
+def smallest_resolving_size(apply, r0, t4, dt: float, n_steps: int, size: int) -> int | None:
+    """The fewest vectors of an orthonormal Krylov basis at ``r0`` that resolve a span's end state.
+
+    The basis of at most ``size`` vectors comes from
+    :func:`reference_arnoldi`. Each leading block of its Hessenberg
+    matrix gives the end state T4(dt H)^n_steps e1, with ``t4`` mapping a
+    square matrix to its RK4 polynomial; it is resolved once its last two
+    coefficients fall below machine epsilon times its norm. Returns None
+    when even the whole basis does not resolve it.
+    """
+    basis, hess = reference_arnoldi(apply, r0, size)
+    for m in range(1, len(basis) + 1):
+        y = np.linalg.matrix_power(t4(dt * hess[:m, :m]), n_steps)[:, 0]
         if np.linalg.norm(y[-2:]) <= np.finfo(float).eps * np.linalg.norm(y):
-            return size
+            return m
     return None

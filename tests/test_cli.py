@@ -192,6 +192,23 @@ class TestRlCommands:
         assert header == ["episode", "reward", "running_avg_100"]
         assert rows.shape == (3, 3)
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--discount", "nan", "discount must lie in [0, 1], got nan"),
+            ("--discount", "1.5", "discount must lie in [0, 1], got 1.5"),
+            ("--epsilon-start", "2", "epsilon_start must lie in [0, 1], got 2.0"),
+            ("--learning-rate", "-1", "learning_rate must lie in (0, 1], got -1.0"),
+            ("--learning-rate", "inf", "learning_rate must lie in (0, 1], got inf"),
+        ],
+    )
+    def test_train_bad_config_names_the_field(self, flag, value, message, tmp_path, small_maze, capsys):
+        curve, policy = tmp_path / "curve.csv", tmp_path / "policy.json"
+        argv = ["rl-train", "--maze", str(small_maze), *map(str, RL_FLAGS), "--episodes", "2", "--seed", "0"]
+        assert cli.main([*argv, flag, value, "-o", str(curve), "--policy-out", str(policy)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not curve.exists() and not policy.exists()
+
     def test_eval_noop_matches_qsw_run(self, tmp_path, small_maze):
         traj = tmp_path / "traj.csv"
         run_cli(
@@ -445,6 +462,20 @@ class TestMalformedInputFiles:
         assert err.startswith("error: maze 100000x100000 is too large: its generator needs ")
         assert err.endswith(" bytes\n")
         assert list(tmp_path.iterdir()) == [tmp_path / "huge.json"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["qsw-run", "-o", "t.csv"], ["rl-train", "--episodes", "1", "--seed", "0", "-o", "c.csv"], ["rl-eval"]],
+        ids=["qsw-run", "rl-train", "rl-eval"],
+    )
+    def test_horizon_too_long_to_record_names_t_final_dt_and_bytes(self, argv, tmp_path, small_maze, monkeypatch, capsys):
+        # 10**15 steps: no 64-bit address space holds their 8 PB per-step record
+        monkeypatch.chdir(tmp_path)
+        flags = ["--maze", str(small_maze), "--p", "0.8", "--dt", "0.1", "--t-final", "1e14"]
+        assert cli.main([*argv, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: t_final=100000000000000.0 is too long for dt=0.1: its per-step record needs 8000000000000008 bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [small_maze.name]
 
     def test_model_without_thetas(self, tmp_path):
         bad = tmp_path / "model.json"

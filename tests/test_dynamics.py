@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from qmlkit import dynamics
 from qmlkit.dynamics import (
-    KRYLOV_MIN_CHECK,
+    KRYLOV_MAX_BASIS,
     KRYLOV_RADIUS,
+    KRYLOV_WINDOW,
     IntegrationError,
     LindbladModel,
     QSWParams,
@@ -20,7 +21,6 @@ from qmlkit.dynamics import (
     lindblad_rhs,
     p_sink_from_integral,
     propagate,
-    _basis_estimate,
     _krylov_span,
     _norm_bound,
     _RealForm,
@@ -58,6 +58,18 @@ class TestQSWParams:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             QSWParams(**kwargs)
+
+    @pytest.mark.parametrize("t_final", [1e14, 1e300], ids=["unallocatable", "uncountable"])
+    def test_horizon_too_long_to_record_names_t_final_and_dt(self, t_final):
+        # 10**15 steps need 8 PB for the per-step record, more than a 64-bit
+        # address space holds; 10**301 steps do not fit an array
+        prefix = re.escape(f"t_final={t_final} is too long for dt=0.1")
+        with pytest.raises(ValueError, match=rf"^{prefix}: its per-step record needs \d+ bytes$"):
+            QSWParams(p=0.5, dt=0.1, t_final=t_final)
+
+    def test_horizon_of_too_many_steps_to_count_is_refused(self):
+        with pytest.raises(ValueError, match=r"^t_final=1e\+300 spans too many steps of dt=1e-10$"):
+            QSWParams(p=0.5, dt=1e-10, t_final=1e300)
 
 
 class TestBuildModel:
@@ -356,19 +368,21 @@ class TestKrylovSpan:
         assert got == stepped_outcome(initial_state(model), model, n_steps)
 
     def test_escape_probability_below_basis_resolution_is_stepped(self):
-        # The 7th interval of this criterion-5 episode ends with p_sink near
-        # 2e-20, below the Krylov basis's resolution, where the basis gives
-        # -1.1e-19; propagate steps such a span.
+        # The 3rd interval of this episode starts with p_sink near 1e-18,
+        # below the Krylov basis's resolution. At its end the basis gives the
+        # exit population as -4.9e-19; propagate steps such a span.
         params = QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0)
         maze = generate_perfect_maze(6, 6, seed=8)
-        links = [(14, 15), (29, 35), None, (7, 13), (14, 20), (12, 13)]
         env = MazeEnv(maze, params, 10.0, 8)
         env.reset()
-        for link in links:
+        for link in [(2, 3), (29, 35)]:
             start = env.step(Action(link))[0]
-            maze = maze if link is None else toggle_link(maze, *link)
-        model = build_model(maze, params)
-        out = propagate(start, model, 100, first_step=600)
+            maze = toggle_link(maze, *link)
+        model = build_model(toggle_link(maze, 26, 32), params)
+        form = _RealForm(model)
+        basis, y = _krylov_span(_to_real(start.matrix), 100, 0.1, form, _norm_bound(form), rows=False)
+        assert (y @ basis).reshape(model.dim, model.dim)[maze.exit, maze.exit] < 0.0
+        out = propagate(start, model, 100, first_step=200)
         assert 0.0 <= out.matrix[-1, -1].real < 1e-18
         assert out.matrix[-1, -1] == stepped_outcome(start, model, 100).matrix[-1, -1]
 
@@ -462,9 +476,14 @@ class TestKrylovSpan:
         assert len(ys) == 100
         np.testing.assert_allclose(basis @ basis.T, np.eye(len(basis)), rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("first_step, n_steps", [(0, 100), (700, 300)], ids=["interval", "tail"])
-    def test_checks_stop_the_basis_near_the_smallest_resolving_size(self, first_step, n_steps):
-        # criterion-5 spans: the first action interval and the last one
+    @pytest.mark.parametrize(
+        "first_step, n_steps, extra", [(0, 100, 2), (700, 300, 16)], ids=["interval", "tail"]
+    )
+    def test_checks_stop_the_basis_near_the_smallest_resolving_size(self, first_step, n_steps, extra):
+        # criterion-5 spans: the first action interval and the last one. The
+        # interval stops at the size a full Gram-Schmidt basis needs (35). On
+        # the tail that basis needs 40; the windowed one resolves at 50, and
+        # its check that passes comes at 53.
         model = build_model(generate_perfect_maze(6, 6, seed=1), QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0))
         start = initial_state(model)
         if first_step:
@@ -474,10 +493,10 @@ class TestKrylovSpan:
         with mock.patch.object(dynamics, "_t4", wraps=_t4) as checks:
             basis, ys = _krylov_span(r0, n_steps, 0.1, form, _norm_bound(form))
         assert len(ys) == n_steps and checks.call_count <= 6
-        size = smallest_resolving_size(basis, generator_image(form), _t4, 0.1, n_steps)
+        size = smallest_resolving_size(generator_image(form), r0, _t4, 0.1, n_steps, KRYLOV_MAX_BASIS)
         if size is None:
-            pytest.fail("the basis does not resolve the end state")
-        assert len(basis) <= size + 2
+            pytest.fail("the reference basis does not resolve the end state")
+        assert size <= len(basis) <= size + extra
 
     def test_near_stationary_span_stops_near_the_smallest_resolving_size(self):
         # After 20 000 steps 93 % of the population is in the sink, where L
@@ -487,12 +506,59 @@ class TestKrylovSpan:
         start = propagate(initial_state(model), model, 20_000)
         assert start.matrix[-1, -1].real > 0.9
         form = _RealForm(model)
-        basis, ys = _krylov_span(_to_real(start.matrix), 100, 0.1, form, _norm_bound(form))
+        r0 = _to_real(start.matrix)
+        basis, ys = _krylov_span(r0, 100, 0.1, form, _norm_bound(form))
         assert len(ys) == 100
-        size = smallest_resolving_size(basis, generator_image(form), _t4, 0.1, 100)
+        size = smallest_resolving_size(generator_image(form), r0, _t4, 0.1, 100, KRYLOV_MAX_BASIS)
         if size is None:
-            pytest.fail("the basis does not resolve the end state")
+            pytest.fail("the reference basis does not resolve the end state")
         assert len(basis) <= size + 2
+
+    @pytest.mark.parametrize("size, p", [(6, 0.3), (10, 0.3), (6, 0.8), (10, 0.05)])
+    def test_windowed_basis_satisfies_the_arnoldi_relation(self, size, p):
+        # L v_j = sum of h_ij v_i over the window and v_{j+1}, to roundoff,
+        # though the basis is orthogonal only within each window
+        model = build_model(generate_perfect_maze(size, size, seed=1), QSWParams(p=p, gamma=1.0, dt=0.1, t_final=100.0))
+        form = _RealForm(model)
+        start = propagate(initial_state(model), model, 100)
+        basis, _ = _krylov_span(_to_real(start.matrix), 300, 0.1, form, _norm_bound(form))
+        assert len(basis) > KRYLOV_WINDOW + 1
+        apply = generator_image(form)
+        worst = 0.0
+        for j in range(len(basis) - 1):
+            image = apply(basis[j])
+            window = basis[max(0, j - KRYLOV_WINDOW + 1) : j + 2].T
+            coefficients = np.linalg.lstsq(window, image, rcond=None)[0]
+            worst = max(worst, np.linalg.norm(window @ coefficients - image) / np.linalg.norm(image))
+        assert worst <= 1e-14
+        assert np.linalg.cond(basis[:KRYLOV_WINDOW]) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("p", [0.05, 0.3])
+    def test_windowed_span_never_stops_at_the_state_space_dimension(self, p):
+        # A windowed basis of d^2 vectors need not span the state space, so
+        # m = d^2 is no stopping point for it. Here the 100-dimensional 3x3
+        # space is windowed and the cap raised past it: a span must run on
+        # until its end state resolves, and land on stepping.
+        model = build_model(generate_perfect_maze(3, 3, seed=1), QSWParams(p=p, gamma=1.0, dt=0.1, t_final=100.0))
+        sizes = []
+
+        def span(*args, **kwargs):
+            out = _krylov_span(*args, **kwargs)
+            sizes.append(len(out[0]))
+            return out
+
+        trace, stepped_trace = np.empty(300), np.empty(300)
+        with (
+            mock.patch.object(dynamics, "KRYLOV_FULL_SPACE", 0),
+            mock.patch.object(dynamics, "KRYLOV_MAX_BASIS", 200),
+            mock.patch.object(dynamics, "_krylov_span", span),
+            mock.patch.object(dynamics, "_rhs", wraps=_rhs) as counted,
+        ):
+            out = propagate(initial_state(model), model, 300, exit_trace=trace)
+        assert max(sizes) > model.dim**2 and counted.call_count < 4 * 300  # not stepped again
+        stepped = stepped_outcome(initial_state(model), model, 300, stepped_trace)
+        np.testing.assert_allclose(out.matrix, stepped.matrix, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(trace, stepped_trace, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("first_step, n_steps", [(0, 100), (700, 300)], ids=["interval", "tail"])
     def test_end_state_alone_skips_the_rows(self, first_step, n_steps):
@@ -510,35 +576,23 @@ class TestKrylovSpan:
         assert powers.call_count == 0 and t4.call_count <= 3
         np.testing.assert_allclose(out.matrix, stepped_outcome(start, model, n_steps).matrix, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.8, 1.0])
-    def test_basis_estimate_tracks_the_measured_size(self, p):
-        # the a priori estimate is at least the size the basis needs, up to
-        # the spacing of its checks, and within 15 % of it where the
-        # coherent part dominates
-        dt = 0.02 if p == 0.0 else 0.1
-        model = build_model(generate_perfect_maze(4, 4, seed=1), QSWParams(p=p, gamma=1.0, dt=dt, t_final=30.0))
-        form = _RealForm(model)
-        basis, ys = _krylov_span(_to_real(initial_state(model).matrix), 100, dt, form, _norm_bound(form))
-        assert len(ys) == 100
-        dissipative = (form.rate.max() + form.gain.sum(axis=1).max()) / 4
-        estimate = _basis_estimate(model._coherent_width * 100 * dt, dissipative * 100 * dt)
-        assert len(basis) - KRYLOV_MIN_CHECK <= estimate
-        if p <= 0.5:
-            assert estimate <= 1.15 * len(basis)
-
-    def test_near_coherent_interval_is_stepped(self):
-        # at p = 0.05 a 100-step interval needs about 80 basis vectors, whose
-        # Gram-Schmidt passes cost more than stepping's 400 applications of L
+    def test_near_coherent_interval_takes_a_basis(self):
+        # at p = 0.05 a 100-step interval needs about 80 windowed basis
+        # vectors, each about one application of L, where stepping makes 400
         model = build_model(generate_perfect_maze(6, 6, seed=1), QSWParams(p=0.05, gamma=1.0, dt=0.1, t_final=100.0))
-        with mock.patch.object(dynamics, "_rhs", wraps=_rhs) as counted:
+        with (
+            mock.patch.object(dynamics, "_rhs", wraps=_rhs) as counted,
+            mock.patch.object(dynamics, "_krylov_span", wraps=_krylov_span) as spans,
+        ):
             out = propagate(initial_state(model), model, 100)
-        assert counted.call_count == 400
-        np.testing.assert_array_equal(out.matrix, stepped_outcome(initial_state(model), model, 100).matrix)
+        assert spans.call_count >= 1 and counted.call_count < 400
+        stepped = stepped_outcome(initial_state(model), model, 100)
+        np.testing.assert_allclose(out.matrix, stepped.matrix, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("size, p, n_steps", [(6, 0.3, 100), (4, 0.2, 300)], ids=["6x6-p0.3", "4x4-p0.2"])
     def test_span_whose_basis_fits_the_budget_takes_it(self, size, p, n_steps):
-        # the basis these spans need fits within the budget that would stop
-        # it, and applies L fewer times than stepping's 4 per step
+        # these spans take a basis, which applies L fewer times than
+        # stepping's 4 per step
         maze = generate_perfect_maze(size, size, seed=1)
         model = build_model(maze, QSWParams(p=p, gamma=1.0, dt=0.1, t_final=100.0))
         trace, stepped_trace = np.empty(n_steps), np.empty(n_steps)
@@ -577,6 +631,16 @@ class TestKrylovSpan:
         with pytest.raises(ValueError, match=r"^n_steps must be non-negative, got -3$"):
             propagate(initial_state(model), model, -3)
 
+    @pytest.mark.parametrize("n_steps", [2.5, 100.0, True], ids=["fraction", "whole-float", "bool"])
+    def test_n_steps_that_is_not_an_int_is_refused(self, n_steps):
+        model = build_model(generate_perfect_maze(3, 3, seed=1), QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0))
+        with (
+            mock.patch.object(dynamics, "_rhs", wraps=_rhs) as counted,
+            pytest.raises(TypeError, match=rf"^n_steps must be an int, got {type(n_steps).__name__} {n_steps!r}$"),
+        ):
+            propagate(initial_state(model), model, n_steps)
+        assert counted.call_count == 0
+
     @pytest.mark.parametrize("cut", ["basis cap"])
     def test_spans_cut_short_match_stepping(self, cut):
         # Every basis here aims at the whole rest of the span. One capped at
@@ -586,7 +650,6 @@ class TestKrylovSpan:
             model = build_model(maze, QSWParams(p=p, gamma=0.7, dt=0.1, t_final=30.0))
             trace, stepped_trace = np.empty(300), np.empty(300)
             with (
-                mock.patch.object(dynamics, "_krylov_target", lambda n_steps, *rest: n_steps),
                 mock.patch.object(dynamics, "KRYLOV_MAX_BASIS", 24),
                 mock.patch.object(dynamics, "_krylov_span", wraps=_krylov_span) as spans,
             ):
@@ -685,6 +748,16 @@ class TestEvolve:
         model = build_model(maze, QSWParams(p=0.8, dt=0.01, t_final=8.0))
         traj = evolve(initial_state(model), model, sample_every=20)
         assert np.all(np.diff(traj.p_sink_series) >= -1e-9)
+
+    @pytest.mark.parametrize("every", [2.5, 10.0, True], ids=["fraction", "whole-float", "bool"])
+    def test_sample_every_that_is_not_an_int_is_refused(self, every):
+        model = build_model(generate_perfect_maze(3, 3, seed=6), QSWParams(p=0.8, dt=0.1, t_final=8.0))
+        with (
+            mock.patch.object(dynamics, "_rhs", wraps=_rhs) as counted,
+            pytest.raises(TypeError, match=rf"^sample_every must be an int, got {type(every).__name__} {every!r}$"),
+        ):
+            evolve(initial_state(model), model, sample_every=every)
+        assert counted.call_count == 0
 
     def test_snapshots_are_valid_density_matrices(self):
         maze = generate_perfect_maze(3, 3, seed=6)

@@ -73,7 +73,7 @@ def test_no_private_name_crosses_modules(path):
         ("from qmlkit.embedding import _embed_batch\n", ["1: embedding._embed_batch"]),
         ("from . import embedding\nembedding._overlap_table(a, b)\n", ["2: embedding._overlap_table"]),
         ("from . import _hidden\n", ["1: qmlkit._hidden"]),
-        ("import qmlkit.dynamics as dyn\ndyn._budget(1, 2)\n", ["2: dyn._budget"]),
+        ("import qmlkit.dynamics as dyn\ndyn._norm_bound(form)\n", ["2: dyn._norm_bound"]),
         ("from .states import DensityMatrix\nfrom . import cli\ncli.main(x._y, __version__)\n", []),
     ],
     ids=["from-import", "absolute", "attribute", "private-module", "aliased-module", "public-only"],

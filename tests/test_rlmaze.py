@@ -331,6 +331,31 @@ class TestTrain:
             train(env, QLearningConfig(), episodes=0, seed=0)
 
 
+class TestQLearningConfig:
+    @pytest.mark.parametrize(
+        "field, value, interval",
+        [
+            ("learning_rate", 0.0, "(0, 1]"),
+            ("learning_rate", -1.0, "(0, 1]"),
+            ("learning_rate", 1.5, "(0, 1]"),
+            ("learning_rate", np.inf, "(0, 1]"),
+            ("discount", np.nan, "[0, 1]"),
+            ("discount", 1.5, "[0, 1]"),
+            ("discount", -0.1, "[0, 1]"),
+            ("epsilon_start", 2.0, "[0, 1]"),
+            ("epsilon_start", np.nan, "[0, 1]"),
+            ("epsilon_end", -np.inf, "[0, 1]"),
+        ],
+    )
+    def test_rejects_values_outside_the_field_range(self, field, value, interval):
+        with pytest.raises(ValueError) as exc:
+            QLearningConfig(**{field: value})
+        assert str(exc.value) == f"{field} must lie in {interval}, got {value!r}"
+
+    def test_accepts_the_range_ends(self):
+        QLearningConfig(learning_rate=1.0, discount=0.0, epsilon_start=0.0, epsilon_end=1.0)
+
+
 class TestEvaluate:
     def test_noop_policy_equals_baseline(self, env):
         model = build_model(env.base_maze, PARAMS)
@@ -363,6 +388,10 @@ class TestPolicyJson:
     def test_malformed_key_names_the_key(self):
         with pytest.raises(ValueError, match=r"policy\['0\|0-1-2'\]: edges must be i-j pairs"):
             Policy.from_json('{"policy": {"0|0-1-2": "noop"}}')
+
+    def test_non_finite_config_is_not_written(self):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            Policy(config={"learning_rate": float("inf")}).to_json()
 
     def test_default_is_noop(self):
         policy = Policy.noop()
