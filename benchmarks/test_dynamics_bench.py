@@ -35,7 +35,15 @@ Krylov span the basis size, the ``_t4`` calls (the span's convergence
 checks, and its states' T4 unless the last check hands it on) and the
 ``_powers`` calls (the rows of the states before the end, which a call
 without ``exit_trace`` does not ask for); the per-span entries are None
-on a stepped call, which has no span.
+on a stepped call, which has no span. ``stepped`` says whether any span
+was stepped again after its Krylov state failed validation.
+
+``test_propagate_cut_off_exit`` times the spans after an edit cuts the
+exit off (6x6, p = 0.8, the exit's one link removed after the first
+interval): the interval from step 600 and the 300-step tail from step
+700. The exit's population then lies far below the basis's resolution
+and comes out negative; its component, the exit and the sink, is
+recomputed in a Krylov span of its own, so no span is stepped.
 """
 
 from unittest import mock
@@ -57,7 +65,7 @@ from qmlkit.dynamics import (
     initial_state,
     propagate,
 )
-from qmlkit.maze import generate_perfect_maze
+from qmlkit.maze import generate_perfect_maze, toggle_link
 from qmlkit.states import DensityMatrix
 
 DT, STEPS = 0.1, 100
@@ -90,7 +98,7 @@ def test_rk4_step(benchmark, case):
 
 
 def span_counts(call):
-    """Work counts of one call: _rhs calls, and basis vectors, _t4 and _powers calls per Krylov span."""
+    """Work counts of one call: _rhs calls, basis vectors, _t4 and _powers calls per Krylov span, and whether it stepped a span."""
     bases = []
 
     def span(*args, **kwargs):
@@ -103,11 +111,13 @@ def span_counts(call):
         mock.patch.object(dynamics, "_t4", wraps=_t4) as t4,
         mock.patch.object(dynamics, "_powers", wraps=_powers) as powers,
         mock.patch.object(dynamics, "_krylov_span", span),
+        mock.patch.object(dynamics, "_stepped", wraps=dynamics._stepped) as stepped,
     ):
         call()
     spans = len(bases)
     return {
         "rhs_calls": rhs.call_count,
+        "stepped": stepped.called,
         "krylov_spans": spans,
         "basis_per_span": sum(bases) / spans if spans else None,
         "t4_per_span": t4.call_count / spans if spans else None,
@@ -129,6 +139,30 @@ def test_propagate_tail(benchmark, case):
     out = benchmark.pedantic(propagate, args=(start, model, 300), kwargs={"first_step": 700}, rounds=20)
     assert out.dim == model.dim
     benchmark.extra_info.update(span_counts(lambda: propagate(start, model, 300, first_step=700)))
+
+
+@pytest.fixture(scope="module")
+def cut_off_exit():
+    """The 6x6 p = 0.8 model with the exit's links removed, and the state after 600 steps, the cut made at step 100."""
+    maze = generate_perfect_maze(6, 6, seed=1)
+    params = QSWParams(p=0.8, gamma=1.0, dt=DT, t_final=100.0)
+    whole = build_model(maze, params)
+    for link in [link for link in maze.edges if maze.exit in link]:
+        maze = toggle_link(maze, *link)
+    model = build_model(maze, params)
+    early = propagate(initial_state(whole), whole, STEPS)
+    return model, propagate(early, model, 500, first_step=STEPS)
+
+
+@pytest.mark.parametrize("n_steps", [STEPS, 300], ids=["interval", "tail"])
+def test_propagate_cut_off_exit(benchmark, cut_off_exit, n_steps):
+    model, start = cut_off_exit
+    first = 600
+    if n_steps == 300:
+        start, first = propagate(start, model, STEPS, first_step=600), 700
+    out = benchmark.pedantic(propagate, args=(start, model, n_steps), kwargs={"first_step": first}, rounds=20)
+    assert out.populations.min() >= 0.0
+    benchmark.extra_info.update(span_counts(lambda: propagate(start, model, n_steps, first_step=first)))
 
 
 def test_evolve_long_horizon(benchmark):

@@ -56,9 +56,18 @@ stepping to about 1e-14. The Krylov path is taken only when dt times a
 norm bound of L is at most 2.6: the spectrum of L lies in Re z <= 0, and
 |T4| <= 1 on the left half-disk of radius 2.6, so stepping is stable
 there and has no growing component that the Krylov subspace would drop.
-Outside that disk, or when a Krylov state is not a valid density matrix
-with non-negative populations, the span is stepped: a step that drifts
-the trace or produces non-finite values raises :class:`IntegrationError`
+
+A basis resolves the state only relative to the norm of its start
+vector. A population far below that, such as that of an exit that wall
+edits cut off, can come out negative. L couples no two connected
+components of the link graph (the nonzeros of H_c and G; the sink joins
+the exit's) and the sink's population is a fixed point of L, so each
+component's diagonal block of R evolves by L restricted to it. Such a
+block is recomputed from the start of the call in Krylov spans of that
+restriction, with the sink's starting population set aside, which
+resolves it relative to its own norm. Outside the disk, or when a state
+still fails validation, the span is stepped: a step that drifts the
+trace or produces non-finite values raises :class:`IntegrationError`
 instead of renormalizing, and so does an invalid end state, naming the
 first bad step.
 """
@@ -243,12 +252,18 @@ class _RealForm:
     The stage input Z is ``right[:d]``, the top block of
     ``right = [[Z], [-H_c]]``; :func:`_rhs` mirrors it into the right
     block of ``left = [H_c | Z]``, so ``left @ right = H_c Z - Z H_c``.
+    Given ``nodes``, a union of connected components of the model's link
+    graph, L is restricted to them: their diagonal block of R evolves by
+    it alone, since L couples no two components and G moves no population
+    out of one.
     """
 
-    def __init__(self, model: LindbladModel):
-        d = model.dim
-        h = model.H
-        delta = 0.5 * model.G.sum(axis=0)
+    def __init__(self, model: LindbladModel, nodes: np.ndarray | None = None):
+        h, gain = model.H, model.G
+        if nodes is not None:
+            h, gain = h[np.ix_(nodes, nodes)], gain[np.ix_(nodes, nodes)]
+        d = len(h)
+        delta = 0.5 * gain.sum(axis=0)
         self.left = np.empty((d, 2 * d))
         self.left[:, :d] = h
         self.right = np.empty((2 * d, d))
@@ -256,7 +271,7 @@ class _RealForm:
         self.z = self.right[:d]
         self.z_mirror = self.left[:, d:]
         self.rate = delta[:, None] + delta  # delta_i + delta_j
-        self.gain = model.G
+        self.gain = gain
         self.comm = np.empty((d, d))
         self.out = np.empty((d, d))
         self.out_diagonal = self.out.reshape(-1)[:: d + 1]
@@ -385,6 +400,9 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     basis = np.empty((cap, d * d))
     hess = np.zeros((cap + 1, cap))
     basis[0] = r0.reshape(-1) / beta
+    z = form.z.reshape(-1)  # views: _rhs maps the newest vector z to w = L(z), orthogonalized in place
+    w = form.out.reshape(-1)
+    z[...] = basis[0]
     tau = n_steps * dt
     # 10 exp(-m^2 / (5 x)) = 1 with x = tau bound / 4 (Hochbruck & Lubich, Theorem 2)
     first = max(KRYLOV_MIN_CHECK, math.ceil(math.sqrt(1.25 * math.log(10) * tau * bound)))
@@ -392,18 +410,17 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     t4 = y = None
     resolved = True
     for m in range(1, cap + 1):
-        form.z[...] = basis[m - 1].reshape(d, d)
-        w = _rhs(form).reshape(-1)  # a view of form.out, orthogonalized in place
+        _rhs(form)
         low = max(0, m - window)
         v = basis[low:m]
-        h = v @ w
-        w -= h @ v
+        h = np.dot(v, w)
+        w -= np.dot(h, v)
         if not windowed:  # a second pass keeps a full basis orthonormal to roundoff
-            correction = v @ w
-            w -= correction @ v
+            correction = np.dot(v, w)
+            w -= np.dot(correction, v)
             h += correction
         hess[low:m, m - 1] = h
-        hess[m, m - 1] = norm = math.sqrt(w @ w)
+        hess[m, m - 1] = norm = math.sqrt(w.dot(w))
         if m == exact or norm <= ROUNDOFF * bound:
             break
         if m == first or (m >= KRYLOV_MIN_CHECK and predicted <= target):
@@ -420,6 +437,7 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
             predicted += math.log(hess[m - 1, m - 2] * tau / (m - 1))
         if m < cap:
             np.divide(w, norm, out=basis[m])
+            z[...] = basis[m]
     else:
         resolved = False
     if resolved and not rows:
@@ -439,9 +457,11 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
 def _validated(r: np.ndarray) -> DensityMatrix | None:
     """The state R holds, or None if it fails validation or has a negative population.
 
-    The Krylov basis resolves entries to about 1e-16 of the state's norm,
-    so a population far below that, such as an exit population near 1e-20,
-    can come out negative; stepping builds such populations step by step.
+    A Krylov basis resolves entries to about 1e-16 of its start vector's
+    norm, so a population far below that, such as the population of an
+    exit that wall edits cut off, near 1e-20, can come out negative;
+    :func:`_krylov_states` then recomputes that population's component
+    from a start vector of its own before it validates the state again.
     """
     if not np.all(r.diagonal() >= 0.0):
         return None
@@ -449,6 +469,58 @@ def _validated(r: np.ndarray) -> DensityMatrix | None:
         return DensityMatrix(_to_complex(r))
     except ValueError:
         return None
+
+
+def _components(model: LindbladModel, nodes: np.ndarray) -> set[tuple[int, ...]]:
+    """The connected components of the model's link graph (the nonzeros of H and G) that hold ``nodes``.
+
+    The sink joins the exit's component through G[S, n]. Reachability is
+    squared until it spans paths of d - 1 links, the longest a component has.
+    """
+    d = model.dim
+    linked = (model.H != 0.0) | (model.G != 0.0) | np.eye(d, dtype=bool)
+    reach = (linked | linked.T).astype(float)
+    for _ in range((d - 1).bit_length()):
+        reach = (reach @ reach > 0.0).astype(float)
+    return {tuple(np.flatnonzero(reach[node])) for node in nodes}
+
+
+def _krylov_end(r: np.ndarray, n_steps: int, dt: float, form: _RealForm) -> np.ndarray:
+    """T4(dt L)^n_steps R from Krylov spans alone, each aimed at the rest of the span; R = 0 stays 0."""
+    bound = _norm_bound(form)
+    done = 0
+    while done < n_steps and r.any():
+        basis, ys = _krylov_span(r, n_steps - done, dt, form, bound, rows=False)
+        if ys.ndim == 1:  # the end state alone
+            ys = ys[None]
+            done = n_steps
+        else:  # an unresolved basis: go on from its last resolved step
+            done += len(ys)
+        r = (ys[-1] @ basis).reshape(r.shape)
+    return r
+
+
+def _recompute_cut_off(r: np.ndarray, r0: np.ndarray, n_steps: int, model: LindbladModel) -> None:
+    """Overwrite each diagonal block of R whose component holds a negative population by T4(dt L)^n_steps of R0's.
+
+    L maps each component's diagonal block to itself, so that block of
+    T4(dt L)^n R0 is T4(dt L_c)^n of R0's block, L_c the generator
+    restricted to the component. Its Krylov spans resolve the block to
+    roundoff of the block's own norm, however small that is. The sink's
+    population is a fixed point of L, so it is set aside at the start and
+    added back at the end: what the spans see is the rest of the block.
+    """
+    sink = model.sink
+    for nodes in _components(model, np.flatnonzero(r.diagonal() < 0.0)):
+        nodes = np.array(nodes)
+        block = np.ix_(nodes, nodes)
+        start = r0[block]
+        held = 0.0
+        if nodes[-1] == sink:  # the sink is the last basis state
+            held, start[-1, -1] = start[-1, -1], 0.0
+        end = _krylov_end(start, n_steps, model.params.dt, _RealForm(model, nodes))
+        end[-1, -1] += held
+        r[block] = end
 
 
 def _krylov_states(
@@ -462,10 +534,13 @@ def _krylov_states(
     state to the last step it resolves; a rest shorter than
     KRYLOV_MIN_SPAN steps is stepped. Without ``rows`` each basis hands on
     only its end state, and the exit occupation of the steps before it is
-    not computed. Returns the states up to, not including, the first that
-    fails :func:`_validated` or whose stepping drifts the trace;
-    ``exit_trace`` holds the exit occupation up to the last returned
-    state, each sample's entry equal to that state's.
+    not computed. A sampled state with a negative population first has the
+    diagonal blocks of those populations' components recomputed from the
+    call's start state by :func:`_recompute_cut_off`. Returns the states up
+    to, not including, the first that then fails :func:`_validated` or
+    whose stepping drifts the trace; ``exit_trace`` holds the exit
+    occupation up to the last returned state, each sample's entry equal to
+    that state's.
     """
     d = model.dim
     dt = model.params.dt
@@ -473,6 +548,12 @@ def _krylov_states(
     samples = [*range(every, n_steps, every), n_steps]
     states = []
     r = _to_real(state.matrix)
+
+    def sampled(end: np.ndarray, step: int) -> DensityMatrix | None:
+        if (end.diagonal() < 0.0).any():
+            _recompute_cut_off(end, _to_real(state.matrix), step, model)
+        return _validated(end)
+
     done, target = 0, n_steps
     while n_steps - done >= KRYLOV_MIN_SPAN:
         target = min(target, n_steps - done)
@@ -487,7 +568,7 @@ def _krylov_states(
         while len(states) < len(samples) and samples[len(states)] <= done:
             step = samples[len(states)]
             end = (ys[step - first] @ basis).reshape(d, d)
-            result = _validated(end)
+            result = sampled(end, step)
             if result is None:
                 return states
             exit_trace[step - 1] = end[exit_index, exit_index]
@@ -497,12 +578,12 @@ def _krylov_states(
         _rk4_step(r, dt, form)
         if not abs(np.trace(r) - 1.0) <= TRACE_DRIFT_LIMIT:
             return states
-        exit_trace[step - 1] = r[exit_index, exit_index]
         if step == samples[len(states)]:
-            result = _validated(r)
+            result = sampled(r, step)
             if result is None:
                 return states
             states.append(result)
+        exit_trace[step - 1] = r[exit_index, exit_index]
     return states
 
 
@@ -535,11 +616,12 @@ def propagate(
     """Advance a state by n_steps RK4 steps and validate the result.
 
     Within the stability guard (dt times :func:`_norm_bound` at most
-    ``KRYLOV_RADIUS``) a span of at least KRYLOV_MIN_SPAN steps is
-    evaluated by :func:`_krylov_states`, in Krylov spans, and its end
-    state validated as a :class:`DensityMatrix`. Outside the guard, for a
-    shorter span, when that validation fails, or when one of the end
-    state's populations is negative, the span is stepped: trace
+    ``KRYLOV_RADIUS``) the span is evaluated by :func:`_krylov_states`, in
+    Krylov spans while at least KRYLOV_MIN_SPAN steps remain, and its end
+    state validated as a :class:`DensityMatrix`; an end state with a
+    negative population first has the diagonal block of that population's
+    connected component recomputed in a Krylov span of its own. Outside
+    the guard, or when validation still fails, the span is stepped: trace
     conservation is checked after every step and the final state
     validated, and any failure raises
     :class:`IntegrationError` with the index of the first bad step,

@@ -221,6 +221,12 @@ class Policy:
         return (int(step), pairs)
 
     def to_json(self) -> str:
+        """The policy document; a config value that JSON cannot hold (NaN, +-inf) raises ValueError naming its key."""
+        for key, value in self.config.items():
+            try:
+                json.dumps(value, allow_nan=False)
+            except ValueError:
+                raise ValueError(f"config[{key!r}]: {value!r} is not JSON compliant") from None
         doc = {
             "config": self.config,
             "policy": {self._key_str(k): a.label for k, a in self.table.items()},

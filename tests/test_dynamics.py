@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmlkit import dynamics
+from qmlkit import dynamics, rlmaze
 from qmlkit.dynamics import (
     KRYLOV_MAX_BASIS,
     KRYLOV_RADIUS,
@@ -300,6 +300,40 @@ def stepping_only():
     return mock.patch.object(dynamics, "KRYLOV_RADIUS", -1.0)
 
 
+def recorded_episode(maze_seed, links):
+    """The propagate calls of a criterion-5 episode on a 6x6 maze, none of which may step.
+
+    Each is (start, model, n_steps, end state, whether a cut-off block was recomputed).
+    """
+    params = QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0)
+    env = MazeEnv(generate_perfect_maze(6, 6, seed=maze_seed), params, 10.0, 8)
+    calls = []
+
+    def recorded(state, model, n_steps, **kwargs):
+        with mock.patch.object(dynamics, "_recompute_cut_off", wraps=dynamics._recompute_cut_off) as recomputed:
+            out = propagate(state, model, n_steps, **kwargs)
+        calls.append((state, model, n_steps, out, recomputed.called))
+        return out
+
+    env.reset()
+    with (
+        mock.patch.object(rlmaze, "propagate", recorded),
+        mock.patch.object(dynamics, "_stepped", wraps=dynamics._stepped) as stepped,
+    ):
+        for link in links:
+            env.step(Action(link))
+    assert stepped.call_count == 0
+    return calls
+
+
+def assert_recomputed_like_stepping(out, start, model, n_steps):
+    """Every population is non-negative, and the sink's and exit's agree with stepping to a relative 1e-12."""
+    assert out.populations.min() >= 0.0
+    expected = stepped_outcome(start, model, n_steps).populations
+    nodes = [model.sink_exit, model.sink]
+    np.testing.assert_allclose(out.populations[nodes], expected[nodes], rtol=1e-12, atol=0)
+
+
 def generator_image(form):
     """The map from a basis vector v to vec(L(v)), through the package's real-form generator."""
     d = form.rate.shape[0]
@@ -367,10 +401,11 @@ class TestKrylovSpan:
         assert isinstance(got, tuple) and re.match(message, got[0])
         assert got == stepped_outcome(initial_state(model), model, n_steps)
 
-    def test_escape_probability_below_basis_resolution_is_stepped(self):
+    def test_escape_probability_below_basis_resolution_is_recomputed(self):
         # The 3rd interval of this episode starts with p_sink near 1e-18,
         # below the Krylov basis's resolution. At its end the basis gives the
-        # exit population as -4.9e-19; propagate steps such a span.
+        # exit population as -4.9e-19; propagate recomputes the exit's
+        # component from a start vector of its own instead of stepping.
         params = QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0)
         maze = generate_perfect_maze(6, 6, seed=8)
         env = MazeEnv(maze, params, 10.0, 8)
@@ -382,20 +417,72 @@ class TestKrylovSpan:
         form = _RealForm(model)
         basis, y = _krylov_span(_to_real(start.matrix), 100, 0.1, form, _norm_bound(form), rows=False)
         assert (y @ basis).reshape(model.dim, model.dim)[maze.exit, maze.exit] < 0.0
-        out = propagate(start, model, 100, first_step=200)
+        with mock.patch.object(dynamics, "_stepped", wraps=dynamics._stepped) as stepped:
+            out = propagate(start, model, 100, first_step=200)
+        assert stepped.call_count == 0
         assert 0.0 <= out.matrix[-1, -1].real < 1e-18
-        assert out.matrix[-1, -1] == stepped_outcome(start, model, 100).matrix[-1, -1]
+        assert_recomputed_like_stepping(out, start, model, 100)
 
-    def test_exit_population_below_basis_resolution_is_stepped(self):
+    def test_exit_population_below_basis_resolution_is_recomputed(self):
         # These edits cut the exit off early, so its population stays near
         # 1e-22, below the basis's resolution. A basis once gave -3.8e-21
         # for it after the sixth interval; stepping on from there took the
         # escape probability to -6.2e-22 in the seventh.
+        episode = recorded_episode(564027548, [(15, 16), (29, 35), (22, 23), (19, 25), (15, 21), (9, 10), (34, 35), None])
+        assert [call[-1] for call in episode] == [False, True, False, True, False, False, False, True]
+        for start, model, n_steps, out, recomputed in episode:
+            assert out.populations.min() >= 0.0
+            if recomputed:
+                assert_recomputed_like_stepping(out, start, model, n_steps)
+
+    def test_isolated_exit_is_recomputed_over_a_300_step_tail(self):
+        # Edit (34, 35) leaves exit 35 linked to the sink alone, with the
+        # escape probability at 3e-3. At the end of the last, 300-step
+        # interval a basis gives the exit population as -9.9e-22.
+        links = [(28, 29), None, (12, 18), (18, 19), (33, 34), (33, 34), (34, 35), (7, 13)]
+        start, model, n_steps, out, recomputed = recorded_episode(591539794, links)[-1]
+        assert recomputed and n_steps == 300 and 2e-3 < start.matrix[-1, -1].real < 4e-3
+        assert dynamics._components(model, [35]) == {(35, 36)}
+        assert_recomputed_like_stepping(out, start, model, n_steps)
+
+    @pytest.mark.parametrize(
+        "seed, n_steps, cuts, components",
+        [
+            (131995, 20, [(34, 41), (31, 38), (38, 39), (10, 11)], [(11, 12), (7, 8, 14, 15, 21, 22, 23, 28, 29, 30, 31, 32, 35, 36, 37, 42, 43, 44, 45, 46, 47, 48, 49)]),
+            (849216, 100, [(3, 4), (9, 10)], [(2, 9), (3, 10)]),
+        ],
+        ids=["exit-and-pair", "two-pairs"],
+    )
+    def test_several_cut_off_components_are_recomputed(self, seed, n_steps, cuts, components):
+        # Edits to a 7x7 maze after n_steps cut off parts that hold
+        # populations of 1e-18 or less. At the end of the next 300 steps a
+        # basis gives negative populations in two of them: the exit's part
+        # and the pair (11, 12), or the pairs (2, 9) and (3, 10), which hold
+        # no sink. Each is recomputed in a span of its own.
         params = QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0)
-        env = MazeEnv(generate_perfect_maze(6, 6, seed=564027548), params, 10.0, 8)
-        env.reset()
-        for link in [(15, 16), (29, 35), (22, 23), (19, 25), (15, 21), (9, 10), (34, 35), None]:
-            assert env.step(Action(link))[0].populations.min() >= 0.0
+        maze = generate_perfect_maze(7, 7, seed=seed)
+        model = build_model(maze, params)
+        start = propagate(initial_state(model), model, n_steps)
+        for link in cuts:
+            maze = toggle_link(maze, *link)
+        model = build_model(maze, params)
+        found = []
+        components_of = dynamics._components
+
+        def recorded(model, nodes):
+            found.append(components_of(model, nodes))
+            return found[-1]
+
+        with (
+            mock.patch.object(dynamics, "_components", recorded),
+            mock.patch.object(dynamics, "_stepped", wraps=dynamics._stepped) as stepped,
+        ):
+            out = propagate(start, model, 300, first_step=n_steps)
+        assert stepped.call_count == 0 and found == [set(components)]
+        assert out.populations.min() >= 0.0
+        expected = stepped_outcome(start, model, 300).populations
+        nodes = [node for component in components for node in component]
+        np.testing.assert_allclose(out.populations[nodes], expected[nodes], rtol=1e-12, atol=0)
 
     def test_t4_contracts_on_the_guarded_half_disk_only(self):
         def largest_t4(radius):

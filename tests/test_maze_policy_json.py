@@ -12,8 +12,10 @@ document parses or fails naming its field without asking for memory.
 """
 
 import json
+import math
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,10 +124,23 @@ def policies(draw):
     return Policy(table, config)
 
 
+def refuses_non_finite_config(policy):
+    """Whether the policy's config holds a non-finite value; if so, check that to_json refuses it by its key."""
+    bad = [key for key, value in policy.config.items() if isinstance(value, float) and not math.isfinite(value)]
+    if not bad:
+        return False
+    with pytest.raises(ValueError, match=r"^config\[") as refused:
+        policy.to_json()
+    assert any(str(refused.value).startswith(f"config[{key!r}]: ") for key in bad), str(refused.value)
+    return True
+
+
 class TestPolicyFormat:
     @settings(max_examples=100, deadline=None)
     @given(policy=policies())
     def test_round_trip(self, policy):
+        if refuses_non_finite_config(policy):
+            return
         text = policy.to_json()
         restored = Policy.from_json(text)
         assert restored.table == policy.table
@@ -141,6 +156,8 @@ class TestPolicyFormat:
     @settings(max_examples=300, deadline=None)
     @given(policy=policies(), data=st.data(), value=any_values)
     def test_one_bad_value_in_a_valid_document(self, policy, data, value):
+        if refuses_non_finite_config(policy):
+            return
         doc = json.loads(policy.to_json())
         keys = sorted(doc["policy"])
         place = data.draw(st.sampled_from(["config", "policy", "label", "key"] if keys else ["config", "policy"]))
