@@ -15,8 +15,8 @@ spread over the maze, not the entrance projector. ``_rhs`` and
 built once, as the stepping path of ``propagate`` runs them; each timed
 RK4 step starts from a fresh copy of R, since the step works in place.
 
-``propagate`` evaluates every span of at least 16 steps in a Krylov
-subspace of the generator where its stability guard allows, which is
+``propagate`` evaluates every span, however few its steps, in Krylov
+subspaces of the generator where its stability guard allows, which is
 every case here. On the 3x3 maze, whose 100-entry state space one basis
 can close, each new basis vector is orthogonalised against all earlier
 ones; on 6x6 and 10x10 against the last 8 only, so that a vector costs
@@ -37,6 +37,9 @@ checks, and its states' T4 unless the last check hands it on) and the
 without ``exit_trace`` does not ask for); the per-span entries are None
 on a stepped call, which has no span. ``stepped`` says whether any span
 was stepped again after its Krylov state failed validation.
+``test_propagate_short`` times spans of 4 and 12 steps from the state
+after one interval: no workload makes spans this short, and there a
+basis can cost more than the RK4 steps it replaces.
 
 ``test_propagate_cut_off_exit`` times the spans after an edit cuts the
 exit off (6x6, p = 0.8, the exit's one link removed after the first
@@ -139,6 +142,14 @@ def test_propagate_tail(benchmark, case):
     out = benchmark.pedantic(propagate, args=(start, model, 300), kwargs={"first_step": 700}, rounds=20)
     assert out.dim == model.dim
     benchmark.extra_info.update(span_counts(lambda: propagate(start, model, 300, first_step=700)))
+
+
+@pytest.mark.parametrize("n_steps", [4, 12])
+def test_propagate_short(benchmark, case, n_steps):
+    _, _, model, spread = case
+    out = benchmark.pedantic(propagate, args=(spread, model, n_steps), kwargs={"first_step": STEPS}, rounds=200)
+    assert out.dim == model.dim
+    benchmark.extra_info.update(span_counts(lambda: propagate(spread, model, n_steps, first_step=STEPS)))
 
 
 @pytest.fixture(scope="module")

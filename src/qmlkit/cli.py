@@ -18,6 +18,7 @@ from .dynamics import (
     QSWParams,
     build_model,
     evolve,
+    generator_matrices,
     initial_state,
     write_states_json,
     write_trajectory_csv,
@@ -50,9 +51,17 @@ def _path_flag(args, filename) -> str | None:
     return None
 
 
-def _load_maze(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return deserialize(fh.read())
+def _load(args, dest: str, parse):
+    """``parse`` of the file that ``--<dest>`` names; one that is not JSON raises ValueError naming the flag and the file."""
+    path = getattr(args, dest)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except ValueError as exc:
+        cause = exc.__cause__ if isinstance(exc, MazeFormatError) else exc  # deserialize wraps the decoder's error
+        if isinstance(cause, (json.JSONDecodeError, UnicodeDecodeError)):
+            raise ValueError(f"--{dest} {path!r} is not valid JSON: {cause}") from exc
+        raise
 
 
 def _params_from(args) -> QSWParams:
@@ -72,6 +81,8 @@ def _add_env_flags(parser):
 
 
 def cmd_maze_gen(args) -> int:
+    if min(args.width, args.height) >= 2:  # a maze too large to model is refused before it is carved
+        generator_matrices(args.width, args.height)
     maze = generate_perfect_maze(args.width, args.height, args.seed, exit=args.exit)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(serialize(maze))
@@ -79,7 +90,7 @@ def cmd_maze_gen(args) -> int:
 
 
 def cmd_qsw_run(args) -> int:
-    maze = _load_maze(args.maze)
+    maze = _load(args, "maze", deserialize)
     params = _params_from(args)
     model = build_model(maze, params)
     traj = evolve(initial_state(model), model, sample_every=args.sample_every)
@@ -98,7 +109,7 @@ def cmd_qsw_run(args) -> int:
 
 
 def _make_env(args) -> rlmaze.MazeEnv:
-    maze = _load_maze(args.maze)
+    maze = _load(args, "maze", deserialize)
     params = _params_from(args)
     return rlmaze.MazeEnv(maze, params, args.action_period, args.max_actions)
 
@@ -143,8 +154,7 @@ def cmd_rl_train(args) -> int:
 def cmd_rl_eval(args) -> int:
     env = _make_env(args)
     if args.policy:
-        with open(args.policy, "r", encoding="utf-8") as fh:
-            policy = rlmaze.Policy.from_json(fh.read())
+        policy = _load(args, "policy", rlmaze.Policy.from_json)
         for name, value in _env_config(args).items():
             if name != "maze" and name not in policy.config:
                 raise ValueError(f"config.{name}: missing")
@@ -176,8 +186,7 @@ def _resolve(args, source: str, defaults: dict) -> None:
 
 def _dataset_from(args) -> embedding.LabeledDataset1D:
     if args.dataset:
-        with open(args.dataset, "r", encoding="utf-8") as fh:
-            return embedding.dataset_from_json(fh.read())
+        return _load(args, "dataset", embedding.dataset_from_json)
     return embedding.synth_dataset(args.n_per_class, args.data_seed)
 
 
@@ -220,8 +229,7 @@ def cmd_embed_gram(args) -> int:
     _resolve(args, "model", {"thetas": (0.0, 0.0, 0.0)})
     dataset = _dataset_from(args)
     if args.model:
-        with open(args.model, "r", encoding="utf-8") as fh:
-            model = embedding.model_from_json(fh.read())
+        model = _load(args, "model", embedding.model_from_json)
     else:
         model = embedding.EmbeddingModel(tuple(args.thetas))
     g = embedding.gram(dataset, model, mode=args.mode, shots=args.shots, seed=args.seed)

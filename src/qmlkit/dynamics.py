@@ -45,17 +45,17 @@ form R + dt L(R + dt/2 L(R + dt/3 L(R + dt/4 L(R)))), the polynomial
 T4(dt L) R with T4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
 
 Integration is fixed-step RK4 for determinism. A span of n steps is the
-polynomial T4(dt L)^n R, which :func:`propagate` evaluates in a Krylov
-subspace of L (Saad 1992; Hochbruck & Lubich 1997) when it has at least
-KRYLOV_MIN_SPAN steps, and steps otherwise. Beyond 3x3 mazes each basis
-vector is orthogonalised against the last KRYLOV_WINDOW only, as in the
-KIOPS solver (Gaudreault, Rainwater & Tokman 2018), so it costs about
-one application of L however large the basis grows. The basis stops
-when its newest coefficients fall to roundoff, so the result agrees with
-stepping to about 1e-14. The Krylov path is taken only when dt times a
-norm bound of L is at most 2.6: the spectrum of L lies in Re z <= 0, and
-|T4| <= 1 on the left half-disk of radius 2.6, so stepping is stable
-there and has no growing component that the Krylov subspace would drop.
+polynomial T4(dt L)^n R, which :func:`propagate` evaluates in Krylov
+subspaces of L (Saad 1992; Hochbruck & Lubich 1997) however small n is.
+Beyond 3x3 mazes each basis vector is orthogonalised against the last
+KRYLOV_WINDOW only, as in the KIOPS solver (Gaudreault, Rainwater &
+Tokman 2018), so it costs about one application of L however large the
+basis grows. The basis stops when its newest coefficients fall to
+roundoff, so the result agrees with stepping to about 1e-14. The Krylov
+path is taken only when dt times a norm bound of L is at most 2.6: the
+spectrum of L lies in Re z <= 0, and |T4| <= 1 on the left half-disk of
+radius 2.6, so stepping is stable there and has no growing component
+that the Krylov subspace would drop.
 
 A basis resolves the state only relative to the norm of its start
 vector. A population far below that, such as that of an exit that wall
@@ -117,11 +117,9 @@ TRACE_DRIFT_LIMIT = 1e-6
 # |T4(z)| <= 1 on the left half-disk |z| <= 2.6 (not on |z| <= 2.7), so RK4
 # is stable there; propagate takes the Krylov path only inside it.
 KRYLOV_RADIUS = 2.6
-# The largest Arnoldi basis, the fewest vectors at which its convergence is
-# checked, and the shortest span that gets one.
+# The largest Arnoldi basis and the fewest vectors at which its convergence is checked.
 KRYLOV_MAX_BASIS = 60
 KRYLOV_MIN_CHECK = 4
-KRYLOV_MIN_SPAN = 16
 # A basis is orthogonalised in full on a state space of at most
 # KRYLOV_FULL_SPACE dimensions (2x2 and 3x3 mazes), else against the last
 # KRYLOV_WINDOW vectors only.
@@ -215,6 +213,15 @@ class LindbladModel:
         return replace(self, G=gain)
 
 
+def generator_matrices(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """A maze's zeroed (N+1) x (N+1) pair (H, G); ValueError naming its size and the bytes if it cannot be allocated."""
+    n = width * height
+    try:
+        return np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1))
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"maze {width}x{height} is too large: its generator needs {16 * (n + 1) ** 2} bytes") from exc
+
+
 def build_model(maze: MazeGraph, params: QSWParams) -> LindbladModel:
     """Assemble the Lindblad model for the current maze topology.
 
@@ -222,17 +229,11 @@ def build_model(maze: MazeGraph, params: QSWParams) -> LindbladModel:
     degrees recomputed from the links as given, so the same call works
     for pristine perfect mazes and for topologies already edited by an
     agent; an isolated node has no links and so no hopping rates. A maze
-    too large for its two (N+1) x (N+1) generator matrices raises
-    ValueError naming its size and the bytes required.
+    too large for its generator is refused by :func:`generator_matrices`.
     """
     n = maze.n_nodes
     p = params.p
-    try:
-        ham = np.zeros((n + 1, n + 1))
-        gain = np.zeros((n + 1, n + 1))
-    except (MemoryError, ValueError) as exc:
-        size = 16 * (n + 1) ** 2
-        raise ValueError(f"maze {maze.width}x{maze.height} is too large: its generator needs {size} bytes") from exc
+    ham, gain = generator_matrices(maze.width, maze.height)
     adjacency = maze.adjacency
     ham[:n, :n] = (1.0 - p) * adjacency
     gain[:n, :n] = p * (adjacency / np.maximum(degrees(maze), 1) ** 2)
@@ -485,19 +486,25 @@ def _components(model: LindbladModel, nodes: np.ndarray) -> set[tuple[int, ...]]
     return {tuple(np.flatnonzero(reach[node])) for node in nodes}
 
 
-def _krylov_end(r: np.ndarray, n_steps: int, dt: float, form: _RealForm) -> np.ndarray:
-    """T4(dt L)^n_steps R from Krylov spans alone, each aimed at the rest of the span; R = 0 stays 0."""
-    bound = _norm_bound(form)
-    done = 0
+def _span_bases(r: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound: float, rows: bool):
+    """(first step, ys, basis) for each :func:`_krylov_span` that advances R over n_steps steps; none if R = 0.
+
+    Each basis starts where the one before stopped resolving and aims at
+    the rest of the span, or after an unresolved basis at the steps that
+    basis resolved. The rows of ys are the states from the first step on.
+    """
+    done, target = 0, n_steps
     while done < n_steps and r.any():
-        basis, ys = _krylov_span(r, n_steps - done, dt, form, bound, rows=False)
+        target = min(target, n_steps - done)
+        basis, ys = _krylov_span(r, target, dt, form, bound, rows=rows)
+        first = done + 1
         if ys.ndim == 1:  # the end state alone
-            ys = ys[None]
-            done = n_steps
-        else:  # an unresolved basis: go on from its last resolved step
-            done += len(ys)
+            ys, first = ys[None], done + target
+        else:  # after an unresolved basis, aim the next at the steps this one resolved
+            target = len(ys)
+        yield first, ys, basis
+        done = first + len(ys) - 1
         r = (ys[-1] @ basis).reshape(r.shape)
-    return r
 
 
 def _recompute_cut_off(r: np.ndarray, r0: np.ndarray, n_steps: int, model: LindbladModel) -> None:
@@ -518,7 +525,10 @@ def _recompute_cut_off(r: np.ndarray, r0: np.ndarray, n_steps: int, model: Lindb
         held = 0.0
         if nodes[-1] == sink:  # the sink is the last basis state
             held, start[-1, -1] = start[-1, -1], 0.0
-        end = _krylov_end(start, n_steps, model.params.dt, _RealForm(model, nodes))
+        form = _RealForm(model, nodes)
+        end = start
+        for _, ys, basis in _span_bases(start, n_steps, model.params.dt, form, _norm_bound(form), rows=False):
+            end = (ys[-1] @ basis).reshape(start.shape)
         end[-1, -1] += held
         r[block] = end
 
@@ -527,63 +537,32 @@ def _krylov_states(
     state: DensityMatrix, model: LindbladModel, form: _RealForm, bound: float, n_steps: int, every: int,
     exit_trace: np.ndarray, rows: bool,
 ) -> list[DensityMatrix]:
-    """Validated states at steps every, 2 every, ..., n_steps, from Krylov spans.
+    """Validated states at steps every, 2 every, ..., n_steps, from the Krylov bases of :func:`_span_bases`.
 
-    Each basis from :func:`_krylov_span` aims at the rest of the span (after
-    an unresolved one, at the steps that one resolved) and advances the
-    state to the last step it resolves; a rest shorter than
-    KRYLOV_MIN_SPAN steps is stepped. Without ``rows`` each basis hands on
-    only its end state, and the exit occupation of the steps before it is
-    not computed. A sampled state with a negative population first has the
-    diagonal blocks of those populations' components recomputed from the
-    call's start state by :func:`_recompute_cut_off`. Returns the states up
-    to, not including, the first that then fails :func:`_validated` or
-    whose stepping drifts the trace; ``exit_trace`` holds the exit
-    occupation up to the last returned state, each sample's entry equal to
-    that state's.
+    A sampled state with a negative population first has its cut-off
+    blocks recomputed by :func:`_recompute_cut_off`. Returns the states up
+    to, not including, the first that then fails :func:`_validated`;
+    ``exit_trace`` holds the exit occupation up to the last returned state
+    (without ``rows`` only at each basis's end), each sample's entry equal
+    to that state's.
     """
     d = model.dim
-    dt = model.params.dt
     exit_index = model.sink_exit
     samples = [*range(every, n_steps, every), n_steps]
     states = []
-    r = _to_real(state.matrix)
-
-    def sampled(end: np.ndarray, step: int) -> DensityMatrix | None:
-        if (end.diagonal() < 0.0).any():
-            _recompute_cut_off(end, _to_real(state.matrix), step, model)
-        return _validated(end)
-
-    done, target = 0, n_steps
-    while n_steps - done >= KRYLOV_MIN_SPAN:
-        target = min(target, n_steps - done)
-        basis, ys = _krylov_span(r, target, dt, form, bound, rows=rows)
-        first = done + 1  # the step of the first row of ys
-        if ys.ndim == 1:  # the end state alone
-            ys, first = ys[None], done + target
-        else:  # after an unresolved basis, aim the next at the steps this one resolved
-            target = len(ys)
+    r0 = _to_real(state.matrix)
+    for first, ys, basis in _span_bases(r0, n_steps, model.params.dt, form, bound, rows):
         exit_trace[first - 1 : first - 1 + len(ys)] = ys @ basis[:, exit_index * (d + 1)]
-        done = first + len(ys) - 1
-        while len(states) < len(samples) and samples[len(states)] <= done:
+        while len(states) < len(samples) and samples[len(states)] < first + len(ys):
             step = samples[len(states)]
             end = (ys[step - first] @ basis).reshape(d, d)
-            result = sampled(end, step)
+            if (end.diagonal() < 0.0).any():
+                _recompute_cut_off(end, r0, step, model)
+            result = _validated(end)
             if result is None:
                 return states
             exit_trace[step - 1] = end[exit_index, exit_index]
             states.append(result)
-        r = (ys[-1] @ basis).reshape(d, d)
-    for step in range(done + 1, n_steps + 1):
-        _rk4_step(r, dt, form)
-        if not abs(np.trace(r) - 1.0) <= TRACE_DRIFT_LIMIT:
-            return states
-        if step == samples[len(states)]:
-            result = sampled(r, step)
-            if result is None:
-                return states
-            states.append(result)
-        exit_trace[step - 1] = r[exit_index, exit_index]
     return states
 
 
@@ -616,10 +595,10 @@ def propagate(
     """Advance a state by n_steps RK4 steps and validate the result.
 
     Within the stability guard (dt times :func:`_norm_bound` at most
-    ``KRYLOV_RADIUS``) the span is evaluated by :func:`_krylov_states`, in
-    Krylov spans while at least KRYLOV_MIN_SPAN steps remain, and its end
-    state validated as a :class:`DensityMatrix`; an end state with a
-    negative population first has the diagonal block of that population's
+    ``KRYLOV_RADIUS``) the span is evaluated by :func:`_krylov_states` in
+    Krylov bases alone, however few its steps, and its end state
+    validated as a :class:`DensityMatrix`; an end state with a negative
+    population first has the diagonal block of that population's
     connected component recomputed in a Krylov span of its own. Outside
     the guard, or when validation still fails, the span is stepped: trace
     conservation is checked after every step and the final state

@@ -39,11 +39,11 @@ class EmbeddingModel:
                 thetas.append(float(t))
             except OverflowError:
                 raise ValueError(f"thetas: angle {k} is too large for a float") from None
+            if not np.isfinite(thetas[-1]):
+                raise ValueError(f"thetas: angle {k} must be finite, got {thetas[-1]!r}")
         thetas = tuple(thetas)
         if len(thetas) != N_THETAS:
             raise ValueError(f"expected {N_THETAS} angles, got {len(thetas)}")
-        if not all(np.isfinite(t) for t in thetas):
-            raise ValueError("angles must be finite")
         object.__setattr__(self, "thetas", thetas)
 
 
@@ -95,16 +95,20 @@ def synth_dataset(n_per_class: int, seed: int) -> LabeledDataset1D:
     """Nested 1-d benchmark: class B inside [-1, 1], class A outside.
 
     Class A is split evenly between [-3, -1.5] and [1.5, 3], so no
-    single threshold on x separates the classes.
+    single threshold on x separates the classes. A count below 2, or one
+    whose points cannot be allocated, raises ValueError naming it.
     """
     if n_per_class < 2:
-        raise ValueError("need at least 2 points per class")
+        raise ValueError(f"n_per_class must be >= 2, got {n_per_class!r}")
+    try:
+        points = np.empty(2 * n_per_class)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"n_per_class={n_per_class} is too many: its points need {16 * n_per_class} bytes") from exc
     rng = np.random.default_rng(seed)
     n_neg = n_per_class // 2
-    a_neg = rng.uniform(-3.0, -1.5, size=n_neg)
-    a_pos = rng.uniform(1.5, 3.0, size=n_per_class - n_neg)
-    b = rng.uniform(-1.0, 1.0, size=n_per_class)
-    points = np.concatenate([a_neg, a_pos, b])
+    points[:n_neg] = rng.uniform(-3.0, -1.5, size=n_neg)
+    points[n_neg:n_per_class] = rng.uniform(1.5, 3.0, size=n_per_class - n_neg)
+    points[n_per_class:] = rng.uniform(-1.0, 1.0, size=n_per_class)
     labels = ("A",) * n_per_class + ("B",) * n_per_class
     return LabeledDataset1D(points=points, labels=labels)
 
@@ -281,11 +285,15 @@ def train_embedding(dataset: LabeledDataset1D, config: TrainConfig) -> tuple[Emb
     The step is fixed, so the loss curve need not be monotone. The pair
     groups are found once; each epoch then makes one batched embedding
     of all seven angle sets, which yields both its loss and its gradient.
+    An epoch count whose record cannot be allocated raises ValueError.
     """
+    try:
+        curve = np.empty(config.epochs)
+        theta_log = np.empty((config.epochs, N_THETAS))
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"epochs={config.epochs} is too many: their record needs {8 * (N_THETAS + 1) * config.epochs} bytes") from exc
     rng = np.random.default_rng(config.seed)
     thetas = rng.uniform(-np.pi, np.pi, size=N_THETAS)
-    curve = np.empty(config.epochs)
-    theta_log = np.empty((config.epochs, N_THETAS))
     pairs = _pair_indices(dataset.labels)
     for epoch in range(config.epochs):
         curve[epoch], grad = _loss_and_gradient(EmbeddingModel(tuple(thetas)), dataset.points, pairs)

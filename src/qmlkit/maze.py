@@ -125,7 +125,7 @@ def generate_perfect_maze(width: int, height: int, seed: int, exit: int | None =
     (width, height, seed, exit).
     """
     if width < 2 or height < 2:
-        raise ValueError("maze must be at least 2x2")
+        raise ValueError(f"maze width and height must be at least 2, got {width}x{height}")
     n = width * height
     exit_node = n - 1 if exit is None else int(exit)
     rng = np.random.default_rng(seed)

@@ -323,15 +323,19 @@ def train(
 
     Greedy ties resolve to the first maximum in action-space order, so
     an untrained table always selects the no-op and the corresponding
-    curve reproduces the plain-walker baseline.
+    curve reproduces the plain-walker baseline. An episode count whose
+    record cannot be allocated raises ValueError naming it and the bytes.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    try:
+        rewards = np.empty(episodes)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"episodes={episodes} is too many: their per-episode record needs {8 * episodes} bytes") from exc
     rng = np.random.default_rng(seed)
     actions = env.action_space
     n_actions = len(actions)
     q: dict = {}
-    rewards = np.empty(episodes)
     half = max(1, episodes // 2)
     for episode in range(episodes):
         frac = min(1.0, episode / half)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmlkit import cli, rlmaze
+from qmlkit import cli, embedding, rlmaze
 from qmlkit.maze import deserialize
 
 from oracles import classical_populations
@@ -476,6 +476,46 @@ class TestMalformedInputFiles:
         err = capsys.readouterr().err
         assert err == "error: t_final=100000000000000.0 is too long for dt=0.1: its per-step record needs 8000000000000008 bytes\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [small_maze.name]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                "rl-train --maze {maze} --p 0.8 --dt 0.1 --t-final 1 --action-period 0.5 --max-actions 2 --seed 0 --episodes 100000000000000",
+                "episodes=100000000000000 is too many: their per-episode record needs 800000000000000 bytes",
+            ),
+            ("embed-train --seed 0 --epochs 10000000000000", "epochs=10000000000000 is too many: their record needs 320000000000000 bytes"),
+            ("embed-train --seed 0 --n-per-class 100000000000000", "n_per_class=100000000000000 is too many: its points need 1600000000000000 bytes"),
+            ("maze-gen --width 100000 --height 100000 --seed 0", "maze 100000x100000 is too large: its generator needs 1600000000320000000016 bytes"),
+        ],
+        ids=["rl-train-episodes", "embed-train-epochs", "embed-train-n-per-class", "maze-gen"],
+    )
+    def test_count_too_large_to_record_is_refused_before_any_work(self, argv, message, tmp_path, small_maze, monkeypatch, capsys):
+        # each record is larger than a 64-bit address space, so none can be mapped and then filled
+        monkeypatch.chdir(tmp_path)
+        for owner, name in ((rlmaze.MazeEnv, "step"), (embedding, "_loss_and_gradient"), (cli, "generate_perfect_maze")):
+            monkeypatch.setattr(owner, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+        assert cli.main([*argv.format(maze=small_maze).split(), "-o", "out"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [small_maze.name]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("qsw-run --p 0.8 --maze {bad}", "--maze"),
+            ("rl-eval --p 0.8 --dt 0.1 --t-final 1 --action-period 0.5 --max-actions 2 --maze {maze} --policy {bad}", "--policy"),
+            ("embed-gram --model {bad}", "--model"),
+            ("embed-train --seed 0 --dataset {bad}", "--dataset"),
+        ],
+        ids=["maze", "policy", "model", "dataset"],
+    )
+    def test_file_that_is_not_json_names_its_flag_and_path(self, argv, flag, tmp_path, small_maze, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text("{\n'width': 3}")
+        assert cli.main([*argv.format(maze=small_maze, bad=bad).split(), "-o", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} {str(bad)!r} is not valid JSON: Expecting property name enclosed in double quotes: line 2 column 1 (char 2)\n"
 
     def test_model_without_thetas(self, tmp_path):
         bad = tmp_path / "model.json"

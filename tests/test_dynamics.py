@@ -647,7 +647,11 @@ class TestKrylovSpan:
         np.testing.assert_allclose(out.matrix, stepped.matrix, rtol=0, atol=1e-13)
         np.testing.assert_allclose(trace, stepped_trace, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("first_step, n_steps", [(0, 100), (700, 300)], ids=["interval", "tail"])
+    @pytest.mark.parametrize(
+        "first_step, n_steps",
+        [(0, 100), (700, 300), (300, 1), (300, 4), (300, 15)],
+        ids=["interval", "tail", "1-step", "4-step", "15-step"],
+    )
     def test_end_state_alone_skips_the_rows(self, first_step, n_steps):
         # without exit_trace a propagate call wants the end state only, as
         # every MazeEnv.step does: it comes from the check that passed
@@ -662,6 +666,21 @@ class TestKrylovSpan:
             out = propagate(start, model, n_steps, first_step=first_step)
         assert powers.call_count == 0 and t4.call_count <= 3
         np.testing.assert_allclose(out.matrix, stepped_outcome(start, model, n_steps).matrix, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n_steps", [1, 4, 15])
+    def test_short_span_takes_a_basis(self, n_steps):
+        # inside the guard a span of any length is evaluated in a basis: no RK4 step is taken
+        maze = generate_perfect_maze(6, 6, seed=1)
+        model = build_model(maze, QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0))
+        start = propagate(initial_state(model), model, 300)
+        trace, stepped_trace = np.empty(n_steps), np.empty(n_steps)
+        with mock.patch.object(dynamics, "_rk4_step", wraps=dynamics._rk4_step) as steps:
+            out = propagate(start, model, n_steps, first_step=300, exit_trace=trace)
+        assert steps.call_count == 0
+        stepped = stepped_outcome(start, model, n_steps, stepped_trace)
+        np.testing.assert_allclose(out.matrix, stepped.matrix, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(trace, stepped_trace, rtol=0, atol=1e-13)
+        assert trace[-1] == out.matrix[maze.exit, maze.exit].real
 
     def test_near_coherent_interval_takes_a_basis(self):
         # at p = 0.05 a 100-step interval needs about 80 windowed basis
@@ -739,9 +758,10 @@ class TestKrylovSpan:
             with (
                 mock.patch.object(dynamics, "KRYLOV_MAX_BASIS", 24),
                 mock.patch.object(dynamics, "_krylov_span", wraps=_krylov_span) as spans,
+                mock.patch.object(dynamics, "_rk4_step", wraps=dynamics._rk4_step) as steps,
             ):
                 out = propagate(initial_state(model), model, 300, exit_trace=trace)
-            assert spans.call_count >= 3
+            assert spans.call_count >= 3 and steps.call_count == 0
             stepped = stepped_outcome(initial_state(model), model, 300, stepped_trace)
             np.testing.assert_allclose(out.matrix, stepped.matrix, rtol=0, atol=1e-13)
             np.testing.assert_allclose(trace, stepped_trace, rtol=0, atol=1e-13)
