@@ -11,8 +11,8 @@ criterion-5 mixing) and p = 1 (the classical limit, no coherent part)
 with the criterion-5 timing: dt = 0.1 and 100 steps per action interval. The state fed to ``_rhs``,
 ``_rk4_step`` and ``DensityMatrix`` is the walker after one interval,
 spread over the maze, not the entrance projector. ``_rhs`` and
-``_rk4_step`` run on its real form R = Re rho + Im rho with buffers
-built once, as the stepping path of ``propagate`` runs them; each timed
+``_rk4_step`` run on its real form R = Re rho + Im rho with the output
+buffer built once, as the stepping path of ``propagate`` runs them; each timed
 RK4 step starts from a fresh copy of R, since the step works in place.
 
 ``propagate`` evaluates every span, however few its steps, in Krylov
@@ -87,9 +87,7 @@ def case(request):
 
 def test_rhs(benchmark, case):
     _, _, model, spread = case
-    form = _RealForm(model)
-    form.z[...] = _to_real(spread.matrix)
-    out = benchmark(_rhs, form)
+    out = benchmark(_rhs, _RealForm(model), _to_real(spread.matrix))
     assert out.shape == (model.dim, model.dim)
 
 

@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-per-class", type=int, default=None, help="synthetic points per class (default 5)")
     p.add_argument("--data-seed", type=_seed, default=None, help="synthetic data seed (default 0)")
     p.add_argument("--model", default=None, help="angles JSON from embed-train")
-    p.add_argument("--thetas", type=float, nargs=3, default=None, metavar=("T1", "T2", "T3"), help="angles (default 0 0 0)")
+    p.add_argument("--thetas", type=float, nargs=3, default=None, metavar=("T1", "T2", "T3"), help="angles (default 0 0 0); write a negative angle without an exponent (-0.002, not -2e-3), which argparse would read as an option")
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     p.add_argument("--shots", type=int, default=None, help=f"shots per entry, sampled mode only (default {embedding.SAMPLED_SHOTS})")
     p.add_argument("--seed", type=_seed, default=None, help="master seed, sampled mode only (required there)")

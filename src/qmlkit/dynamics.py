@@ -37,11 +37,11 @@ Hermitian rho = X + iY (X symmetric, Y antisymmetric) is held exactly
 by R = X + Y, with X = (R + R^T)/2 and Y = (R - R^T)/2. The generator
 in that form is
 
-    L(R) = (H_c R - R H_c)^T - (delta_i + delta_j) R_ij + diag(G diag(R)),
+    L(R) = R^T H_c - H_c R^T - (delta_i + delta_j) R_ij + diag(G diag(R)),
 
-whose commutator is the single real product [H_c | R] @ [[R], [-H_c]].
-L is linear and time-invariant, so one RK4 step is exactly its Horner
-form R + dt L(R + dt/2 L(R + dt/3 L(R + dt/4 L(R)))), the polynomial
+two real d x d products and elementwise terms. L is linear and
+time-invariant, so one RK4 step is exactly its Horner form
+R + dt L(R + dt/2 L(R + dt/3 L(R + dt/4 L(R)))), the polynomial
 T4(dt L) R with T4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
 
 Integration is fixed-step RK4 for determinism. A span of n steps is the
@@ -144,7 +144,7 @@ class QSWParams:
     """Walk and integration parameters.
 
     p:       classical/quantum mixing in [0, 1] (0 = coherent, 1 = classical)
-    gamma:   sink transfer rate, > 0
+    gamma:   sink transfer rate, > 0, with a finite sink rate 2 gamma
     dt:      RK4 step
     t_final: integration horizon, a whole number of steps whose per-step
              record (8 bytes a step) can be allocated
@@ -163,6 +163,8 @@ class QSWParams:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         if self.gamma <= 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not math.isfinite(2.0 * self.gamma):
+            raise ValueError(f"gamma={self.gamma} is too large: its sink rate 2 * gamma is not finite")
         if not 0.0 < self.dt <= self.t_final:
             raise ValueError("dt must satisfy 0 < dt <= t_final")
         steps = whole_steps(self.t_final, self.dt, "t_final")
@@ -248,11 +250,8 @@ def initial_state(model: LindbladModel) -> DensityMatrix:
 
 
 class _RealForm:
-    """H_c (the model's ``H``), delta (derived from G here alone) and the work buffers of L, built once per call.
+    """H_c (the model's ``H``), delta (derived from G here alone) and the output buffer of L, built once per call.
 
-    The stage input Z is ``right[:d]``, the top block of
-    ``right = [[Z], [-H_c]]``; :func:`_rhs` mirrors it into the right
-    block of ``left = [H_c | Z]``, so ``left @ right = H_c Z - Z H_c``.
     Given ``nodes``, a union of connected components of the model's link
     graph, L is restricted to them: their diagonal block of R evolves by
     it alone, since L couples no two components and G moves no population
@@ -265,15 +264,9 @@ class _RealForm:
             h, gain = h[np.ix_(nodes, nodes)], gain[np.ix_(nodes, nodes)]
         d = len(h)
         delta = 0.5 * gain.sum(axis=0)
-        self.left = np.empty((d, 2 * d))
-        self.left[:, :d] = h
-        self.right = np.empty((2 * d, d))
-        self.right[d:] = -h
-        self.z = self.right[:d]
-        self.z_mirror = self.left[:, d:]
+        self.h = h
         self.rate = delta[:, None] + delta  # delta_i + delta_j
         self.gain = gain
-        self.comm = np.empty((d, d))
         self.out = np.empty((d, d))
         self.out_diagonal = self.out.reshape(-1)[:: d + 1]
 
@@ -288,28 +281,22 @@ def _to_complex(r: np.ndarray) -> np.ndarray:
     return 0.5 * (r + r.T) + 0.5j * (r - r.T)
 
 
-def _rhs(form: _RealForm) -> np.ndarray:
-    """L(Z) for the stage input Z = ``form.z``, into ``form.out``."""
-    z = form.z
-    form.z_mirror[...] = z
-    np.matmul(form.left, form.right, out=form.comm)
+def _rhs(form: _RealForm, z: np.ndarray) -> np.ndarray:
+    """L(Z) = Z^T H_c - H_c Z^T - (delta_i + delta_j) Z_ij + diag(G diag(Z)), into ``form.out``, which Z must not be."""
     out = form.out
-    np.multiply(form.rate, z, out=out)
-    np.subtract(form.comm.T, out, out=out)
+    np.matmul(z.T, form.h, out=out)
+    out -= form.h @ z.T
+    out -= form.rate * z
     form.out_diagonal += form.gain @ z.diagonal()
     return out
 
 
 def _rk4_step(r: np.ndarray, dt: float, form: _RealForm) -> None:
     """Advance R by one RK4 step in place, in Horner form."""
-    z = form.z
-    z[...] = r
+    z = r
     for c in (dt / 4.0, dt / 3.0, dt / 2.0):
-        np.multiply(_rhs(form), c, out=z)
-        z += r
-    out = _rhs(form)
-    out *= dt
-    r += out
+        z = r + c * _rhs(form, z)
+    r += dt * _rhs(form, z)
 
 
 def _norm_bound(form: _RealForm) -> float:
@@ -319,8 +306,7 @@ def _norm_bound(form: _RealForm) -> float:
     the damping at most max(delta_i + delta_j) and the gain at most the
     largest row sum of G.
     """
-    d = form.rate.shape[0]
-    return 2.0 * np.abs(form.left[:, :d]).sum(axis=1).max() + form.rate.max() + form.gain.sum(axis=1).max()
+    return float(2.0 * np.abs(form.h).sum(axis=1).max() + form.rate.max() + form.gain.sum(axis=1).max())
 
 
 def _t4(a: np.ndarray) -> np.ndarray:
@@ -401,9 +387,7 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     basis = np.empty((cap, d * d))
     hess = np.zeros((cap + 1, cap))
     basis[0] = r0.reshape(-1) / beta
-    z = form.z.reshape(-1)  # views: _rhs maps the newest vector z to w = L(z), orthogonalized in place
-    w = form.out.reshape(-1)
-    z[...] = basis[0]
+    w = form.out.reshape(-1)  # a view: _rhs maps the newest vector to w, orthogonalized in place
     tau = n_steps * dt
     # 10 exp(-m^2 / (5 x)) = 1 with x = tau bound / 4 (Hochbruck & Lubich, Theorem 2)
     first = max(KRYLOV_MIN_CHECK, math.ceil(math.sqrt(1.25 * math.log(10) * tau * bound)))
@@ -411,7 +395,7 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     t4 = y = None
     resolved = True
     for m in range(1, cap + 1):
-        _rhs(form)
+        _rhs(form, basis[m - 1].reshape(d, d))
         low = max(0, m - window)
         v = basis[low:m]
         h = np.dot(v, w)
@@ -438,7 +422,6 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
             predicted += math.log(hess[m - 1, m - 2] * tau / (m - 1))
         if m < cap:
             np.divide(w, norm, out=basis[m])
-            z[...] = basis[m]
     else:
         resolved = False
     if resolved and not rows:
@@ -580,9 +563,7 @@ def lindblad_rhs(rho, model: LindbladModel) -> np.ndarray:
     herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
     if not herm_dev <= HERMITIAN_ATOL:
         raise ValueError(f"state is not Hermitian: max |M - M^dag| = {herm_dev}")
-    form = _RealForm(model)
-    form.z[...] = _to_real(mat)
-    return _to_complex(_rhs(form))
+    return _to_complex(_rhs(_RealForm(model), _to_real(mat)))
 
 
 def propagate(
@@ -607,7 +588,8 @@ def propagate(
     offset by ``first_step``. When ``exit_trace`` is given it receives
     the exit-node occupation after each step, and its last entry equals
     the returned state's. A state not of the model's dimension, a negative
-    n_steps or an exit_trace not of length n_steps raises ValueError, and
+    n_steps, an exit_trace not of length n_steps or, for n_steps > 0, a dt
+    whose product with the norm bound is not finite raises ValueError, and
     an n_steps that is not an int (a bool included) TypeError.
     """
     _check_start(state, model, n_steps)
@@ -642,14 +624,17 @@ def _advance(
     Inside the stability guard as many as pass come from
     :func:`_krylov_states`; the rest are stepped chunk by chunk from the
     last of them by :func:`_stepped`, which raises on the first bad step.
+    A dt whose product with the norm bound overflows raises ValueError.
     """
     form = _RealForm(model)
     rows = exit_trace is not None or every < n_steps  # else only the end state is wanted
     if exit_trace is None:
         exit_trace = np.empty(n_steps)
     states = []
-    bound = _norm_bound(form)
-    if model.params.dt * bound <= KRYLOV_RADIUS:
+    dt, bound = model.params.dt, _norm_bound(form)
+    if not math.isfinite(dt * bound):
+        raise ValueError(f"dt={dt} is too large for this model: dt times its generator's norm bound {bound} is not finite")
+    if dt * bound <= KRYLOV_RADIUS:
         states = _krylov_states(state, model, form, bound, n_steps, every, exit_trace, rows)
     done = len(states) * every
     while done < n_steps:

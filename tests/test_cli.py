@@ -119,6 +119,14 @@ class TestQswRun:
         result = run_cli("qsw-run", "--maze", tmp_path / "nope.json", "--p", 0.5, "-o", tmp_path / "t.csv")
         assert result.returncode == 2
 
+    def test_gamma_whose_sink_rate_overflows_exits_2(self, tmp_path, small_maze):
+        # 2 * 1e308 is inf: the run is refused before any work, not failed as an integration
+        out = tmp_path / "t.csv"
+        result = run_cli("qsw-run", "--maze", small_maze, "--p", 0.8, "--gamma", "1e308", "--dt", 0.1, "--t-final", 1.0, "-o", out)
+        assert result.returncode == 2
+        assert result.stderr == "error: gamma=1e+308 is too large: its sink rate 2 * gamma is not finite\n"
+        assert not out.exists()
+
     def test_unstable_step_exits_3(self, tmp_path, small_maze):
         for args, step in (
             (("qsw-run", "--p", 0.0, "--dt", 1.5, "--t-final", 30.0, "-o", "t.csv"), None),

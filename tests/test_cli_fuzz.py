@@ -1,18 +1,20 @@
 """Fuzz of every subcommand's numeric flags, run in-process through ``cli.main``.
 
-Each case sets one numeric flag to an edge value; every other flag keeps a
-small valid value (a 3x3 maze, a few steps, episodes or epochs). The run
-must exit 0, 2 or 3 with no uncaught exception. An exit-2 message must
-name the drawn flag or its field, and every JSON file the run writes must
-parse with a parser that rejects Infinity and NaN. A count of 10**15
-(episodes, epochs, points, steps or cells) is refused before any work, so
-every case runs in well under a second.
+Each case sets one numeric flag, or two distinct ones, to edge values;
+every other flag keeps a small valid value (a 3x3 maze, a few steps,
+episodes or epochs). The run must exit 0, 2 or 3 with no uncaught
+exception and no ``RuntimeWarning``. An exit-2 message must name a drawn
+flag or its field, and every JSON file the run writes must parse with a
+parser that rejects Infinity and NaN. A count of 10**15 (episodes,
+epochs, points, steps or cells) is refused before any work, so every
+case runs in well under a second.
 """
 
 import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -68,41 +70,64 @@ def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stderr of ``cli.main(argv)``; an argparse refusal exits through SystemExit."""
+def run(argv: list[str]) -> tuple[int, str, list[str]]:
+    """Exit code, stderr and RuntimeWarnings of ``cli.main(argv)``; an argparse refusal exits through SystemExit."""
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    with (
+        contextlib.redirect_stderr(err),
+        contextlib.redirect_stdout(io.StringIO()),
+        warnings.catch_warnings(record=True) as caught,
+    ):
+        warnings.simplefilter("always")
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, err.getvalue(), [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@settings(max_examples=120, deadline=None)
-@given(data=st.data())
-def test_edge_value_of_one_numeric_flag(command, data):
+def check_edge_values(command: str, drawn: dict[str, str], position: int) -> None:
+    """Run ``command`` with the drawn flags at their edge values and the rest valid; check exit, message, warnings and JSON."""
     flags, rest = COMMANDS[command]
-    case = st.tuples(st.sampled_from(sorted(flags)), st.sampled_from(EDGE_VALUES), st.integers(0, 2))
-    flag, value, position = data.draw(case, label="flag, value, position")
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         (directory / "maze.json").write_text(serialize(generate_perfect_maze(3, 3, seed=2)))
         argv = [command]
         for name, valid in flags.items():
             values = valid.split()
-            if name != flag:
+            if name not in drawn:
                 argv += [name, *values]
             elif len(values) == 1:
-                argv.append(f"{name}={value}")  # so that argparse reads -inf as a value
+                argv.append(f"{name}={drawn[name]}")  # so that argparse reads -inf as a value
             else:  # --thetas takes three values: one of them is drawn
-                values[position] = value
+                values[position] = drawn[name]
                 argv += [name, *values]
         argv += [arg.format(dir=tmp) for arg in rest]
-        code, err = run(argv)
+        code, err, runtime_warnings = run(argv)
         assert code in (0, 2, 3), (argv, err)
+        assert not runtime_warnings, (argv, runtime_warnings)
         if code == 2:
-            assert named(err, flag, flags | {flag: value}), (argv, err)
+            assert any(named(err, flag, flags | drawn) for flag in drawn), (argv, err)
         for path in directory.glob("*.json"):
             json.loads(path.read_text(), parse_constant=reject_constant)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_edge_value_of_one_numeric_flag(command, data):
+    flags = sorted(COMMANDS[command][0])
+    case = st.tuples(st.sampled_from(flags), st.sampled_from(EDGE_VALUES), st.integers(0, 2))
+    flag, value, position = data.draw(case, label="flag, value, position")
+    check_edge_values(command, {flag: value}, position)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_edge_values_of_two_numeric_flags(command, data):
+    flags = sorted(COMMANDS[command][0])
+    pair = st.lists(st.sampled_from(flags), min_size=2, max_size=2, unique=True)
+    case = st.tuples(pair, st.tuples(st.sampled_from(EDGE_VALUES), st.sampled_from(EDGE_VALUES)), st.integers(0, 2))
+    pair, values, position = data.draw(case, label="flags, values, position")
+    check_edge_values(command, dict(zip(pair, values)), position)

@@ -67,6 +67,11 @@ class TestQSWParams:
         with pytest.raises(ValueError, match=rf"^{prefix}: its per-step record needs \d+ bytes$"):
             QSWParams(p=0.5, dt=0.1, t_final=t_final)
 
+    def test_gamma_whose_sink_rate_overflows_names_gamma(self):
+        with pytest.raises(ValueError, match=r"^gamma=1e\+308 is too large: its sink rate 2 \* gamma is not finite$"):
+            QSWParams(p=0.5, gamma=1e308)
+        assert QSWParams(p=0.5, gamma=8e307).gamma == 8e307  # 2 * gamma is still finite
+
     def test_horizon_of_too_many_steps_to_count_is_refused(self):
         with pytest.raises(ValueError, match=r"^t_final=1e\+300 spans too many steps of dt=1e-10$"):
             QSWParams(p=0.5, dt=1e-10, t_final=1e300)
@@ -269,6 +274,28 @@ class TestRhsProperty:
         assert np.max(np.abs(out - out.conj().T)) <= 1e-15
         assert abs(out.trace()) <= 1e-12
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        maze=edited_mazes(),
+        p=st.floats(0.0, 1.0),
+        gamma=st.floats(0.0, 3.0, exclude_min=True),
+        state_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reads_its_input_from_a_basis_row_or_a_copy(self, maze, p, gamma, state_seed):
+        model = build_model(maze, QSWParams(p=p, gamma=gamma))
+        d = model.dim
+        rho = random_density_matrix(d, np.random.default_rng(state_seed))
+        expected = _to_real(literal_rhs(rho, maze.adjacency, p, gamma, maze.exit))
+        r = _to_real(rho)
+        basis = np.stack([np.zeros(d * d), r.reshape(-1)])  # R as a Krylov basis row
+        form = _RealForm(model)
+        from_row = _rhs(form, basis[1].reshape(d, d)).copy()
+        from_copy = _rhs(form, r.copy()).copy()
+        np.testing.assert_array_equal(basis[1], r.reshape(-1))
+        np.testing.assert_array_equal(r, _to_real(rho))
+        np.testing.assert_allclose(from_row, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(from_copy, expected, rtol=0, atol=1e-12)
+
 
 class TestPropagateProperty:
     @settings(max_examples=100, deadline=None)
@@ -339,8 +366,7 @@ def generator_image(form):
     d = form.rate.shape[0]
 
     def apply(v):
-        form.z[...] = v.reshape(d, d)
-        return _rhs(form).ravel().copy()
+        return _rhs(form, v.reshape(d, d)).ravel().copy()
 
     return apply
 
@@ -387,13 +413,15 @@ class TestKrylovSpan:
 
     @pytest.mark.parametrize(
         "size, n_steps, message",
-        [(6, 300, r"trace drifted to \S+ at step 76 "), (10, 100, r"invalid state at step 93: ")],
+        [(6, 300, r"trace drifted to \S+ at step 79 "), (10, 100, r"invalid state at step 93: ")],
         ids=["6x6", "10x10"],
     )
     def test_guard_leaves_blow_ups_to_stepping(self, size, n_steps, message):
         # gamma = 20 takes dt times the norm bound to about 8. There RK4
         # amplifies components that a converged Krylov basis drops: on the
-        # 10x10 maze an unguarded Krylov span returns a valid state.
+        # 10x10 maze an unguarded Krylov span returns a valid state. On the
+        # 6x6 maze the blow-up grows from roundoff, so its first bad step
+        # follows the rounding of the generator's kernel.
         maze = generate_perfect_maze(size, size, seed=7)
         model = build_model(maze, QSWParams(p=0.8, gamma=20.0, dt=0.1, t_final=30.0))
         assert 0.1 * _norm_bound(_RealForm(model)) > KRYLOV_RADIUS
@@ -503,8 +531,7 @@ class TestKrylovSpan:
         d = model.dim
         columns = []
         for unit in np.eye(d * d):
-            form.z[...] = unit.reshape(d, d)
-            columns.append(_rhs(form).ravel().copy())
+            columns.append(_rhs(form, unit.reshape(d, d)).ravel().copy())
         spectrum = np.linalg.eigvals(np.array(columns).T)
         assert np.abs(spectrum).max() < _norm_bound(form)
         assert spectrum.real.max() <= 1e-12  # a Lindblad spectrum lies in Re z <= 0
@@ -736,6 +763,11 @@ class TestKrylovSpan:
         model = build_model(generate_perfect_maze(3, 3, seed=1), QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0))
         with pytest.raises(ValueError, match=r"^n_steps must be non-negative, got -3$"):
             propagate(initial_state(model), model, -3)
+
+    def test_step_whose_product_with_the_norm_bound_overflows_is_refused(self):
+        model = build_model(generate_perfect_maze(3, 3, seed=1), QSWParams(p=0.8, gamma=1.0, dt=1e308, t_final=1e308))
+        with pytest.raises(ValueError, match=r"^dt=1e\+308 is too large for this model: dt times its generator's norm bound \S+ is not finite$"):
+            propagate(initial_state(model), model, 1)
 
     @pytest.mark.parametrize("n_steps", [2.5, 100.0, True], ids=["fraction", "whole-float", "bool"])
     def test_n_steps_that_is_not_an_int_is_refused(self, n_steps):
