@@ -348,9 +348,11 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
     L and its Hessenberg matrix, with L V_m = V_{m+1} H̄_m. Each new vector
     is orthogonalised against all earlier ones (classical Gram-Schmidt,
     applied twice) on a state space of at most KRYLOV_FULL_SPACE
-    dimensions, else once against the last KRYLOV_WINDOW only, which
-    leaves the relation intact. The k-th state T4(dt L)^k R0 is
-    V T4(dt H_m)^k e1 ||R0||: exact once m reaches 4k + 1 or the space
+    dimensions, else against the last KRYLOV_WINDOW only, which leaves the
+    relation intact, and twice only where the first pass leaves under
+    sqrt(ROUNDOFF) bound, whose error would hide a closing space. The
+    k-th state T4(dt L)^k R0 is V T4(dt H_m)^k e1 ||R0||: exact once m
+    reaches 4k + 1 or the space
     closes (||L v_m - V h|| at roundoff, or m = d^2 for a full basis), and
     resolved before that when its last two coefficients fall below
     machine epsilon times its norm.
@@ -400,12 +402,13 @@ def _krylov_span(r0: np.ndarray, n_steps: int, dt: float, form: _RealForm, bound
         v = basis[low:m]
         h = np.dot(v, w)
         w -= np.dot(h, v)
-        if not windowed:  # a second pass keeps a full basis orthonormal to roundoff
+        norm = math.sqrt(w.dot(w))
+        if not windowed or norm <= math.sqrt(ROUNDOFF) * bound:  # a second pass, see above
             correction = np.dot(v, w)
             w -= np.dot(correction, v)
             h += correction
-        hess[low:m, m - 1] = h
-        hess[m, m - 1] = norm = math.sqrt(w.dot(w))
+            norm = math.sqrt(w.dot(w))
+        hess[low:m, m - 1], hess[m, m - 1] = h, norm
         if m == exact or norm <= ROUNDOFF * bound:
             break
         if m == first or (m >= KRYLOV_MIN_CHECK and predicted <= target):

@@ -411,6 +411,26 @@ class TestKrylovSpan:
         np.testing.assert_allclose(trace, stepped_trace, rtol=0, atol=1e-13)
         assert trace[-1] == got.matrix[maze.exit, maze.exit].real
 
+    def test_windowed_basis_stops_where_its_space_closes(self):
+        # The walker starts in the 3-node component {0, 4, 8}, cut off from
+        # the exit, whose Krylov space from the start has 6 dimensions. One
+        # orthogonalisation pass leaves the 6th residual at 1.3e-14, above
+        # roundoff times the norm bound; a basis built on from it cancelled
+        # by a factor 370 and missed stepping by 1.4e-13.
+        edges = ((0, 4), (1, 2), (1, 5), (2, 3), (2, 6), (3, 7), (4, 8), (6, 10), (7, 11))
+        maze = MazeGraph(width=4, height=3, edges=edges, entrance=0, exit=11, seed=0)
+        model = build_model(maze, QSWParams(p=0.8671875, gamma=1.0, dt=0.1, t_final=30.0))
+        form = _RealForm(model)
+        assert model.dim**2 > dynamics.KRYLOV_FULL_SPACE  # the windowed path
+        r0 = _to_real(initial_state(model).matrix)
+        basis, ys = _krylov_span(r0, 277, 0.1, form, _norm_bound(form))
+        assert len(basis) == 6
+        trace, stepped_trace = np.empty(277), np.empty(277)
+        got = propagate(initial_state(model), model, 277, exit_trace=trace)
+        expected = stepped_outcome(initial_state(model), model, 277, stepped_trace)
+        np.testing.assert_allclose(got.matrix, expected.matrix, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(trace, stepped_trace, rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize(
         "size, n_steps, message",
         [(6, 300, r"trace drifted to \S+ at step 79 "), (10, 100, r"invalid state at step 93: ")],
