@@ -8,6 +8,7 @@ configuration or input, 3 numerical failure during integration.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -16,6 +17,7 @@ from . import embedding, rlmaze
 from .dynamics import (
     IntegrationError,
     QSWParams,
+    SAMPLE_EVERY,
     build_model,
     evolve,
     generator_matrices,
@@ -29,6 +31,10 @@ from .maze import MazeFormatError, deserialize, generate_perfect_maze, serialize
 
 # dests of the flags that name an input or output file
 PATH_DESTS = ("maze", "policy", "dataset", "model", "output", "states_out", "policy_out", "model_out", "dataset_out")
+# dests of the flags that set up a walk, of those that add its agent's environment, and of the Q-learning flags
+WALK_DESTS = ("maze", "p", "gamma", "dt", "t_final")
+ENV_DESTS = (*WALK_DESTS, "action_period", "max_actions")
+LEARNING_DESTS = tuple(field.name for field in dataclasses.fields(rlmaze.QLearningConfig))
 
 
 def _seed(text: str) -> int:
@@ -64,15 +70,20 @@ def _load(args, dest: str, parse):
         raise
 
 
+def _config(args, dests) -> dict:
+    """The values of the flags named by ``dests``, in that order."""
+    return {dest: getattr(args, dest) for dest in dests}
+
+
 def _params_from(args) -> QSWParams:
     return QSWParams(p=args.p, gamma=args.gamma, dt=args.dt, t_final=args.t_final)
 
 
 def _add_params_flags(parser):
     parser.add_argument("--p", type=float, required=True, help="classical/quantum mixing in [0, 1]")
-    parser.add_argument("--gamma", type=float, default=1.0, help="sink rate (default 1.0)")
-    parser.add_argument("--dt", type=float, default=0.005, help="integrator step (default 0.005)")
-    parser.add_argument("--t-final", type=float, default=10.0, help="horizon (default 10.0)")
+    parser.add_argument("--gamma", type=float, default=QSWParams.gamma, help="sink rate (default %(default)s)")
+    parser.add_argument("--dt", type=float, default=QSWParams.dt, help="integrator step (default %(default)s)")
+    parser.add_argument("--t-final", type=float, default=QSWParams.t_final, help="horizon (default %(default)s)")
 
 
 def _add_env_flags(parser):
@@ -94,14 +105,7 @@ def cmd_qsw_run(args) -> int:
     params = _params_from(args)
     model = build_model(maze, params)
     traj = evolve(initial_state(model), model, sample_every=args.sample_every)
-    config = {
-        "maze": args.maze,
-        "p": params.p,
-        "gamma": params.gamma,
-        "dt": params.dt,
-        "t_final": params.t_final,
-        "sample_every": args.sample_every,
-    }
+    config = _config(args, (*WALK_DESTS, "sample_every"))
     write_trajectory_csv(traj, args.output, config)
     if args.states_out:
         write_states_json(traj, args.states_out, config)
@@ -114,35 +118,11 @@ def _make_env(args) -> rlmaze.MazeEnv:
     return rlmaze.MazeEnv(maze, params, args.action_period, args.max_actions)
 
 
-def _env_config(args) -> dict:
-    return {
-        "maze": args.maze,
-        "p": args.p,
-        "gamma": args.gamma,
-        "dt": args.dt,
-        "t_final": args.t_final,
-        "action_period": args.action_period,
-        "max_actions": args.max_actions,
-    }
-
-
 def cmd_rl_train(args) -> int:
     env = _make_env(args)
-    config = rlmaze.QLearningConfig(
-        learning_rate=args.learning_rate,
-        discount=args.discount,
-        epsilon_start=args.epsilon_start,
-        epsilon_end=args.epsilon_end,
-    )
+    config = rlmaze.QLearningConfig(**_config(args, LEARNING_DESTS))
     policy, curve = rlmaze.train(env, config, args.episodes, args.seed)
-    file_config = _env_config(args) | {
-        "episodes": args.episodes,
-        "seed": args.seed,
-        "learning_rate": args.learning_rate,
-        "discount": args.discount,
-        "epsilon_start": args.epsilon_start,
-        "epsilon_end": args.epsilon_end,
-    }
+    file_config = _config(args, (*ENV_DESTS, "episodes", "seed", *LEARNING_DESTS))
     rlmaze.write_curve_csv(curve, args.output, file_config)
     if args.policy_out:
         policy.config = file_config
@@ -155,7 +135,7 @@ def cmd_rl_eval(args) -> int:
     env = _make_env(args)
     if args.policy:
         policy = _load(args, "policy", rlmaze.Policy.from_json)
-        for name, value in _env_config(args).items():
+        for name, value in _config(args, ENV_DESTS).items():
             if name != "maze" and name not in policy.config:
                 raise ValueError(f"config.{name}: missing")
             if name != "maze" and policy.config[name] != value:
@@ -168,7 +148,7 @@ def cmd_rl_eval(args) -> int:
     lines = [f"baseline_p_sink={baseline!r}", f"policy_p_sink={trained!r}"]
     print("\n".join(lines))
     if args.output:
-        file_config = _env_config(args) | {"policy": args.policy or ""}
+        file_config = _config(args, ENV_DESTS) | {"policy": args.policy or ""}
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(config_header(file_config))
             fh.write("\n".join(lines) + "\n")
@@ -264,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qsw-run", help="evolve a walker on a maze, write the trajectory")
     p.add_argument("--maze", required=True)
     _add_params_flags(p)
-    p.add_argument("--sample-every", type=int, default=10, help="steps between snapshots")
+    p.add_argument("--sample-every", type=int, default=SAMPLE_EVERY, help="steps between snapshots")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--states-out", default=None, help="optional JSON dump of full snapshots")
     p.set_defaults(func=cmd_qsw_run)
@@ -275,10 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_env_flags(p)
     p.add_argument("--episodes", type=int, required=True)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--discount", type=float, default=1.0)
-    p.add_argument("--epsilon-start", type=float, default=1.0)
-    p.add_argument("--epsilon-end", type=float, default=0.05)
+    for dest in LEARNING_DESTS:
+        p.add_argument("--" + dest.replace("_", "-"), type=float, default=getattr(rlmaze.QLearningConfig, dest))
     p.add_argument("-o", "--output", required=True, help="learning-curve CSV")
     p.add_argument("--policy-out", default=None, help="trained policy JSON")
     p.set_defaults(func=cmd_rl_train)
@@ -295,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default=None, help="dataset JSON (default: synthesize)")
     p.add_argument("--n-per-class", type=int, default=None, help="synthetic points per class (default 20)")
     p.add_argument("--data-seed", type=_seed, default=None, help="synthetic data seed (default 0)")
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=300)
+    p.add_argument("--lr", type=float, default=embedding.TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=embedding.TrainConfig.epochs)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("-o", "--output", required=True, help="training-log CSV")
     p.add_argument("--model-out", default=None, help="trained angles JSON")

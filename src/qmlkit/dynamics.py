@@ -114,6 +114,7 @@ class IntegrationError(RuntimeError):
 
 
 TRACE_DRIFT_LIMIT = 1e-6
+SAMPLE_EVERY = 10  # evolve's steps between snapshots when the caller leaves them out
 # |T4(z)| <= 1 on the left half-disk |z| <= 2.6 (not on |z| <= 2.7), so RK4
 # is stable there; propagate takes the Krylov path only inside it.
 KRYLOV_RADIUS = 2.6
@@ -652,36 +653,46 @@ def _stepped(
     state: DensityMatrix, model: LindbladModel, form: _RealForm, n_steps: int, first_step: int,
     exit_trace: np.ndarray | None,
 ) -> DensityMatrix:
-    """Advance a state one RK4 step at a time, checking the trace after each; see :func:`propagate`."""
+    """Advance a state one RK4 step at a time, checking the trace after each; see :func:`propagate`.
+
+    Both loops raise numpy's overflow and invalid-value errors, so a step
+    that leaves the floats fails as a non-finite state at that step.
+    """
     dt = model.params.dt
     n = model.sink_exit
     r = _to_real(state.matrix)
-    for k in range(n_steps):
-        _rk4_step(r, dt, form)
-        tr = np.trace(r)
-        if not abs(tr - 1.0) <= TRACE_DRIFT_LIMIT:
-            step = first_step + k + 1
-            problem = f"trace drifted to {tr} at step {step} (dt too large?)"
-            if not np.isfinite(tr):
-                problem = f"non-finite state at step {step}"
-            raise IntegrationError(
-                problem, step, t=step * dt, dt=dt, drift=float(abs(tr - 1.0)), last_good_step=first_step
-            )
-        if exit_trace is not None:
-            exit_trace[k] = r[n, n]
+    steps = range(first_step + 1, first_step + n_steps + 1)
     try:
-        return DensityMatrix(_to_complex(r))
-    except ValueError as exc:
-        failure = exc
-    # failure path: replay the span, validating every step, to find the first bad one
-    r = _to_real(state.matrix)
-    for step in range(first_step + 1, first_step + n_steps + 1):
-        _rk4_step(r, dt, form)
-        try:
-            DensityMatrix(_to_complex(r))
-        except ValueError as exc:
-            failure = exc
-            break
+        with np.errstate(over="raise", invalid="raise"):
+            for step in steps:
+                _rk4_step(r, dt, form)
+                tr = np.trace(r)
+                if not abs(tr - 1.0) <= TRACE_DRIFT_LIMIT:
+                    problem = f"trace drifted to {tr} at step {step} (dt too large?)"
+                    if not np.isfinite(tr):
+                        problem = f"non-finite state at step {step}"
+                    raise IntegrationError(
+                        problem, step, t=step * dt, dt=dt, drift=float(abs(tr - 1.0)), last_good_step=first_step
+                    )
+                if exit_trace is not None:
+                    exit_trace[step - first_step - 1] = r[n, n]
+            try:
+                return DensityMatrix(_to_complex(r))
+            except ValueError as exc:
+                failure = exc
+            # failure path: replay the span, validating every step, to find the first bad one
+            r = _to_real(state.matrix)
+            for step in steps:
+                _rk4_step(r, dt, form)
+                try:
+                    DensityMatrix(_to_complex(r))
+                except ValueError as exc:
+                    failure = exc
+                    break
+    except FloatingPointError as exc:
+        raise IntegrationError(
+            f"non-finite state at step {step}", step, t=step * dt, dt=dt, last_good_step=first_step
+        ) from exc
     raise IntegrationError(
         f"invalid state at step {step}: {failure}",
         step,
@@ -713,7 +724,7 @@ class Trajectory:
         return float(self.p_sink_series[-1])
 
 
-def evolve(rho0: DensityMatrix, model: LindbladModel, sample_every: int = 10) -> Trajectory:
+def evolve(rho0: DensityMatrix, model: LindbladModel, sample_every: int = SAMPLE_EVERY) -> Trajectory:
     """Integrate from t = 0 to t_final, sampling every ``sample_every`` steps.
 
     Snapshots (including the final state) are validated density

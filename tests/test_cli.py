@@ -1,15 +1,20 @@
+import contextlib
+import dataclasses
+import inspect
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmlkit import cli, embedding, rlmaze
-from qmlkit.maze import deserialize
+from qmlkit import cli, dynamics, embedding, rlmaze
+from qmlkit.maze import deserialize, generate_perfect_maze, serialize
 
 from oracles import classical_populations
 
@@ -17,15 +22,25 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args, cwd=None):
+    """``cli.main`` on ``args``, in-process and in ``cwd``: its exit code (an argparse exit's too) and captured output."""
+    out, err = io.StringIO(), io.StringIO()
+    start = os.getcwd()
+    try:
+        os.chdir(cwd or start)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([str(a) for a in args])
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        os.chdir(start)
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_process(*args, module="qmlkit"):
+    """``python -m <module>`` on ``args`` in a fresh interpreter: for checks on the process itself."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "qmlkit.cli", *map(str, args)],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=env,
-    )
+    return subprocess.run([sys.executable, "-m", module, *map(str, args)], capture_output=True, text=True, env=env)
 
 
 def read_csv(path):
@@ -141,6 +156,21 @@ class TestQswRun:
             assert "integration failure" in result.stderr, args[0]
             if step is not None:
                 assert f"invalid state at step {step}:" in result.stderr, args[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["qsw-run", "-o", "t.csv"], ["rl-eval", "--action-period=1e200", "--max-actions", "1"]],
+        ids=["qsw-run", "rl-eval"],
+    )
+    def test_step_that_overflows_exits_3_without_warnings(self, argv, tmp_path, small_maze):
+        # dt times the norm bound is finite, but the first RK4 step overflows
+        flags = ["--maze", small_maze, "--p", 0.8, "--dt=1e200", "--t-final=1e200"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_cli(*argv, *flags, cwd=tmp_path)
+        assert result.returncode == 3
+        assert result.stderr == "integration failure: non-finite state at step 1, t=1e+200, dt=1e+200; try a smaller --dt\n"
+        assert [str(w.message) for w in caught] == []
 
     def test_failure_reports_same_step_time_and_dt(self, tmp_path, small_maze):
         # seed-2 3x3 maze, p = 0, dt = 0.1: the state after step 1 fails positivity
@@ -374,6 +404,7 @@ class TestEmbedCommands:
         assert "seed=5 shots=100" in sampled.read_text().splitlines()[0]
         assert "mode=exact" in exact.read_text().splitlines()[0]
         assert "seed=n/a shots=n/a" in exact.read_text().splitlines()[0]
+        cli.build_parser.cache_clear()  # the parser a new process would build
         result = run_cli("embed-gram", "--n-per-class", 2, "-o", tmp_path / "fresh.csv")
         assert result.returncode == 0
         assert exact.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
@@ -602,3 +633,78 @@ class TestTopLevel:
         missing = str(tmp_path / "missing.json")
         assert cli.main(["qsw-run", "--maze", missing, "--p", "0.5", "-o", str(tmp_path / "t.csv")]) == 2
         assert capsys.readouterr().err == f"error: --maze {missing!r}: No such file or directory\n"
+
+
+def record_defaults(record) -> dict:
+    """The fields of a dataclass record that have a default, with that default."""
+    return {f.name: f.default for f in dataclasses.fields(record) if f.default is not dataclasses.MISSING}
+
+
+class TestDefaults:
+    WALK = ["--maze", "m.json", "--p", "0.5"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["qsw-run", *WALK, "-o", "t.csv"], ["rl-train", *WALK, "--episodes", "1", "--seed", "0", "-o", "c.csv"], ["rl-eval", *WALK]],
+        ids=["qsw-run", "rl-train", "rl-eval"],
+    )
+    def test_walk_flags_default_to_qswparams(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        defaults = record_defaults(dynamics.QSWParams)
+        assert {name: getattr(args, name) for name in defaults} == defaults
+        assert list(defaults) == ["gamma", "dt", "t_final"]
+
+    def test_sample_every_defaults_to_evolves(self):
+        args = cli.build_parser().parse_args(["qsw-run", *self.WALK, "-o", "t.csv"])
+        assert args.sample_every == dynamics.SAMPLE_EVERY == inspect.signature(dynamics.evolve).parameters["sample_every"].default
+
+    def test_learning_flags_default_to_qlearningconfig(self):
+        args = cli.build_parser().parse_args(["rl-train", *self.WALK, "--episodes", "1", "--seed", "0", "-o", "c.csv"])
+        defaults = record_defaults(rlmaze.QLearningConfig)
+        assert {name: getattr(args, name) for name in defaults} == defaults
+        assert list(defaults) == ["learning_rate", "discount", "epsilon_start", "epsilon_end"]
+
+    def test_embed_train_flags_default_to_trainconfig(self):
+        args = cli.build_parser().parse_args(["embed-train", "--seed", "3", "-o", "log.csv"])
+        defaults = record_defaults(embedding.TrainConfig)
+        assert (args.lr, args.epochs) == (defaults["learning_rate"], defaults["epochs"])
+
+    def test_shots_default_to_sampled_shots(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert cli.main(["embed-gram", "--n-per-class", "2", "--mode", "sampled", "--seed", "1", "-o", str(out)]) == 0
+        assert f" shots={embedding.SAMPLED_SHOTS} " in out.read_text().splitlines()[0]
+        with pytest.raises(SystemExit):
+            cli.main(["embed-gram", "--help"])
+        assert f"(default {embedding.SAMPLED_SHOTS})" in " ".join(capsys.readouterr().out.split())
+
+    def test_help_prints_the_records_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["qsw-run", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())  # as if argparse wrapped no line
+        params = dynamics.QSWParams
+        for text in (f"sink rate (default {params.gamma})", f"step (default {params.dt})", f"horizon (default {params.t_final})"):
+            assert text in help_text
+
+
+class TestProcess:
+    """The process itself: the module entry points, exit codes and what reaches stderr."""
+
+    @pytest.mark.parametrize("module", ["qmlkit", "qmlkit.cli"])
+    def test_module_entry_point_runs_main(self, module, tmp_path):
+        out = tmp_path / "maze.json"
+        result = run_process("maze-gen", "--width", 3, "--height", 3, "--seed", 2, "-o", out, module=module)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+        assert out.read_text() == serialize(generate_perfect_maze(3, 3, seed=2))
+
+    def test_refusals_exit_with_one_line_and_no_traceback(self, tmp_path, small_maze):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"width": [3], "height": 1, "entrance": 0, "exit": 2, "seed": 0, "edges": []}')
+        cases = (
+            (("qsw-run", "--maze", bad, "--p", 0.5, "-o", tmp_path / "t.csv"), 2, "error: width: expected an integer"),
+            (("qsw-run", "--maze", small_maze, *UNSTABLE_RL_FLAGS[:6], "-o", tmp_path / "t.csv"), 3, "integration failure: invalid state at step 1: "),
+        )
+        for args, code, start in cases:
+            result = run_process(*args)
+            assert result.returncode == code, result.stderr
+            assert result.stderr.startswith(start) and result.stderr.count("\n") == 1, result.stderr
+            assert "Traceback" not in result.stderr

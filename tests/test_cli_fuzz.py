@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from qmlkit import cli
 from qmlkit.maze import generate_perfect_maze, serialize
 
-EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "2.5", "1e-320", "1e308", str(10**15))
+EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "2.5", "1e-320", "1e200", "1e308", str(10**15))
 
 RL_FLAGS = {
     "--p": "0.8", "--gamma": "1.0", "--dt": "0.1", "--t-final": "1.0", "--action-period": "0.5", "--max-actions": "2",

@@ -532,6 +532,23 @@ class TestKrylovSpan:
         nodes = [node for component in components for node in component]
         np.testing.assert_allclose(out.populations[nodes], expected[nodes], rtol=1e-12, atol=0)
 
+    def test_split_maze_at_p_1_takes_a_basis_that_matches_stepping(self):
+        # Four edits split this maze at p = 1 into several components. A
+        # windowed basis once gave populations down to -5.2e14 in four of
+        # them and a huge positive one in a fifth, so the span was stepped.
+        params = QSWParams(p=1.0, gamma=1.0, dt=0.1, t_final=100.0)
+        maze = generate_perfect_maze(4, 4, seed=702241)
+        model = build_model(maze, params)
+        start = propagate(initial_state(model), model, 50)
+        for link in [(2, 6), (9, 13), (14, 15), (1, 5)]:
+            assert link in maze.edges
+            maze = toggle_link(maze, *link)
+        model = build_model(maze, params)
+        with mock.patch.object(dynamics, "_stepped", wraps=dynamics._stepped) as stepped:
+            out = propagate(start, model, 300, first_step=50)
+        assert stepped.call_count == 0
+        np.testing.assert_allclose(out.matrix, stepped_outcome(start, model, 300).matrix, rtol=0, atol=1e-13)
+
     def test_t4_contracts_on_the_guarded_half_disk_only(self):
         def largest_t4(radius):
             # by the maximum modulus principle |T4| peaks on the half-disk's boundary
