@@ -65,7 +65,12 @@ def test_gram_sampled(benchmark, dataset, model):
 def test_write_gram_csv(benchmark, dataset, model, mode, tmp_path):
     g = gram(dataset, model, mode="sampled", shots=SHOTS, seed=0) if mode == "sampled" else gram(dataset, model)
     path = tmp_path / "gram.csv"
-    benchmark(write_gram_csv, g, path)
+
+    def write():
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            write_gram_csv(g, fh)
+
+    benchmark(write)
     assert len(path.read_text().splitlines()) == g.dim
 
 

@@ -2,12 +2,16 @@
 
 One binary, one subcommand per experiment. Every run is a deterministic
 function of its flags and referenced files: randomness enters only
-through explicit --seed flags, and output files start with a comment
-recording the resolved configuration. Exit codes: 0 success, 2 invalid
-configuration or input, 3 numerical failure during integration.
+through explicit --seed flags, and text outputs start with a ``# config:``
+line recording the resolved configuration. This is the one module that
+opens files: each through :func:`_file`, under the flag that names it,
+so the library's writers take an open stream. Exit codes: 0 success, 2
+invalid configuration or input (a file that cannot be read or written
+included), 3 numerical failure during integration.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -25,12 +29,9 @@ from .dynamics import (
     write_states_json,
     write_trajectory_csv,
 )
-from .header import config_header
 from .maze import MazeFormatError, deserialize, generate_perfect_maze, serialize
 
 
-# dests of the flags that name an input or output file
-PATH_DESTS = ("maze", "policy", "dataset", "model", "output", "states_out", "policy_out", "model_out", "dataset_out")
 # dests of the flags that set up a walk, of those that add its agent's environment, and of the Q-learning flags
 WALK_DESTS = ("maze", "p", "gamma", "dt", "t_final")
 ENV_DESTS = (*WALK_DESTS, "action_period", "max_actions")
@@ -48,25 +49,34 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
-def _path_flag(args, filename) -> str | None:
-    """The flag whose value is ``filename``, if any (unset flags hold None)."""
-    if filename is not None:
-        for dest in PATH_DESTS:
-            if getattr(args, dest, None) == filename:
-                return "--" + dest.replace("_", "-")
-    return None
+@contextlib.contextmanager
+def _file(args, dest: str, mode: str = "w", config: dict | None = None):
+    """The file that ``--<dest>`` names, open as UTF-8 text.
+
+    A file opened to write has ``\\n`` line ends and, given a config,
+    starts with its ``# config: k=v ...`` line, keys sorted. Any OSError
+    from opening, reading, writing or closing the file raises ValueError
+    naming the flag, the path and the reason.
+    """
+    path = getattr(args, dest)
+    try:
+        with open(path, mode, encoding="utf-8", newline="\n" if mode == "w" else None) as fh:
+            if config:
+                fh.write("# config: " + " ".join(f"{k}={config[k]}" for k in sorted(config)) + "\n")
+            yield fh
+    except OSError as exc:
+        raise ValueError(f"--{dest.replace('_', '-')} {path!r}: {exc.strerror}") from exc
 
 
 def _load(args, dest: str, parse):
     """``parse`` of the file that ``--<dest>`` names; one that is not JSON raises ValueError naming the flag and the file."""
-    path = getattr(args, dest)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _file(args, dest, "r") as fh:
             return parse(fh.read())
     except ValueError as exc:
         cause = exc.__cause__ if isinstance(exc, MazeFormatError) else exc  # deserialize wraps the decoder's error
         if isinstance(cause, (json.JSONDecodeError, UnicodeDecodeError)):
-            raise ValueError(f"--{dest} {path!r} is not valid JSON: {cause}") from exc
+            raise ValueError(f"--{dest} {getattr(args, dest)!r} is not valid JSON: {cause}") from exc
         raise
 
 
@@ -86,6 +96,15 @@ def _add_params_flags(parser):
     parser.add_argument("--t-final", type=float, default=QSWParams.t_final, help="horizon (default %(default)s)")
 
 
+def _add_dataset_flags(parser, n_per_class: int) -> dict:
+    """--dataset and the synthetic-data flags it overrides; returns those flags' defaults, which their help prints."""
+    defaults = {"n_per_class": n_per_class, "data_seed": 0}
+    parser.add_argument("--dataset", default=None, help="dataset JSON (default: synthesize)")
+    parser.add_argument("--n-per-class", type=int, default=None, help=f"synthetic points per class (default {defaults['n_per_class']})")
+    parser.add_argument("--data-seed", type=_seed, default=None, help=f"synthetic data seed (default {defaults['data_seed']})")
+    return defaults
+
+
 def _add_env_flags(parser):
     parser.add_argument("--action-period", type=float, default=1.0, help="time between actions")
     parser.add_argument("--max-actions", type=int, default=8, help="actions per episode")
@@ -95,7 +114,7 @@ def cmd_maze_gen(args) -> int:
     if min(args.width, args.height) >= 2:  # a maze too large to model is refused before it is carved
         generator_matrices(args.width, args.height)
     maze = generate_perfect_maze(args.width, args.height, args.seed, exit=args.exit)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+    with _file(args, "output") as fh:
         fh.write(serialize(maze))
     return 0
 
@@ -106,9 +125,11 @@ def cmd_qsw_run(args) -> int:
     model = build_model(maze, params)
     traj = evolve(initial_state(model), model, sample_every=args.sample_every)
     config = _config(args, (*WALK_DESTS, "sample_every"))
-    write_trajectory_csv(traj, args.output, config)
+    with _file(args, "output", config=config) as fh:
+        write_trajectory_csv(traj, fh)
     if args.states_out:
-        write_states_json(traj, args.states_out, config)
+        with _file(args, "states_out") as fh:
+            write_states_json(traj, fh, config)
     return 0
 
 
@@ -123,10 +144,11 @@ def cmd_rl_train(args) -> int:
     config = rlmaze.QLearningConfig(**_config(args, LEARNING_DESTS))
     policy, curve = rlmaze.train(env, config, args.episodes, args.seed)
     file_config = _config(args, (*ENV_DESTS, "episodes", "seed", *LEARNING_DESTS))
-    rlmaze.write_curve_csv(curve, args.output, file_config)
+    with _file(args, "output", config=file_config) as fh:
+        rlmaze.write_curve_csv(curve, fh)
     if args.policy_out:
         policy.config = file_config
-        with open(args.policy_out, "w", encoding="utf-8", newline="\n") as fh:
+        with _file(args, "policy_out") as fh:
             fh.write(policy.to_json())
     return 0
 
@@ -149,19 +171,19 @@ def cmd_rl_eval(args) -> int:
     print("\n".join(lines))
     if args.output:
         file_config = _config(args, ENV_DESTS) | {"policy": args.policy or ""}
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(config_header(file_config))
+        with _file(args, "output", config=file_config) as fh:
             fh.write("\n".join(lines) + "\n")
     return 0
 
 
-def _resolve(args, source: str, defaults: dict) -> None:
-    """Give each flag in ``defaults`` its default; refuse one that was set next to ``source``."""
-    for dest, default in defaults.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif getattr(args, source) is not None:
-            raise ValueError(f"--{dest.replace('_', '-')} does not apply with --{source}")
+def _resolve(args) -> None:
+    """Give each flag that a file overrides its default; refuse one that was set next to that file's flag."""
+    for source, defaults in args.file_overrides.items():
+        for dest, default in defaults.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif getattr(args, source) is not None:
+                raise ValueError(f"--{dest.replace('_', '-')} does not apply with --{source}")
 
 
 def _dataset_from(args) -> embedding.LabeledDataset1D:
@@ -175,7 +197,7 @@ def _dataset_label(args) -> str:
 
 
 def cmd_embed_train(args) -> int:
-    _resolve(args, "dataset", {"n_per_class": 20, "data_seed": 0})
+    _resolve(args)
     dataset = _dataset_from(args)
     config = embedding.TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
     model, curve, theta_log = embedding.train_embedding(dataset, config)
@@ -185,14 +207,15 @@ def cmd_embed_train(args) -> int:
         "epochs": args.epochs,
         "seed": args.seed,
     }
-    embedding.write_training_log(curve, theta_log, args.output, file_config)
+    with _file(args, "output", config=file_config) as fh:
+        embedding.write_training_log(curve, theta_log, fh)
     if args.model_out:
         doc = {"config": file_config, "thetas": list(model.thetas)}
-        with open(args.model_out, "w", encoding="utf-8", newline="\n") as fh:
+        with _file(args, "model_out") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
     if args.dataset_out:
-        with open(args.dataset_out, "w", encoding="utf-8", newline="\n") as fh:
+        with _file(args, "dataset_out") as fh:
             fh.write(embedding.dataset_to_json(dataset))
     return 0
 
@@ -205,8 +228,7 @@ def cmd_embed_gram(args) -> int:
         if not sampled and value is not None:
             raise ValueError(f"{flag} applies only to --mode sampled")
     shots = embedding.SAMPLED_SHOTS if args.shots is None else args.shots
-    _resolve(args, "dataset", {"n_per_class": 5, "data_seed": 0})
-    _resolve(args, "model", {"thetas": (0.0, 0.0, 0.0)})
+    _resolve(args)
     dataset = _dataset_from(args)
     if args.model:
         model = _load(args, "model", embedding.model_from_json)
@@ -220,7 +242,8 @@ def cmd_embed_gram(args) -> int:
         "shots": shots if sampled else "n/a",
         "seed": args.seed if sampled else "n/a",
     }
-    embedding.write_gram_csv(g, args.output, file_config)
+    with _file(args, "output", config=file_config) as fh:
+        embedding.write_gram_csv(g, fh)
     return 0
 
 
@@ -270,28 +293,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rl_eval)
 
     p = sub.add_parser("embed-train", help="train the data-uploading embedding")
-    p.add_argument("--dataset", default=None, help="dataset JSON (default: synthesize)")
-    p.add_argument("--n-per-class", type=int, default=None, help="synthetic points per class (default 20)")
-    p.add_argument("--data-seed", type=_seed, default=None, help="synthetic data seed (default 0)")
+    data = _add_dataset_flags(p, n_per_class=20)
     p.add_argument("--lr", type=float, default=embedding.TrainConfig.learning_rate)
     p.add_argument("--epochs", type=int, default=embedding.TrainConfig.epochs)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("-o", "--output", required=True, help="training-log CSV")
     p.add_argument("--model-out", default=None, help="trained angles JSON")
     p.add_argument("--dataset-out", default=None, help="save the dataset that was used")
-    p.set_defaults(func=cmd_embed_train)
+    p.set_defaults(func=cmd_embed_train, file_overrides={"dataset": data})
 
     p = sub.add_parser("embed-gram", help="compute a Gram matrix of pairwise overlaps")
-    p.add_argument("--dataset", default=None, help="dataset JSON (default: synthesize)")
-    p.add_argument("--n-per-class", type=int, default=None, help="synthetic points per class (default 5)")
-    p.add_argument("--data-seed", type=_seed, default=None, help="synthetic data seed (default 0)")
+    data = _add_dataset_flags(p, n_per_class=5)
+    angles = {"thetas": (0.0, 0.0, 0.0)}
     p.add_argument("--model", default=None, help="angles JSON from embed-train")
-    p.add_argument("--thetas", type=float, nargs=3, default=None, metavar=("T1", "T2", "T3"), help="angles (default 0 0 0); write a negative angle without an exponent (-0.002, not -2e-3), which argparse would read as an option")
+    shown = " ".join(f"{t:g}" for t in angles["thetas"])
+    p.add_argument("--thetas", type=float, nargs=3, default=None, metavar=("T1", "T2", "T3"), help=f"angles (default {shown}); write a negative angle without an exponent (-0.002, not -2e-3), which argparse would read as an option")
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     p.add_argument("--shots", type=int, default=None, help=f"shots per entry, sampled mode only (default {embedding.SAMPLED_SHOTS})")
     p.add_argument("--seed", type=_seed, default=None, help="master seed, sampled mode only (required there)")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_embed_gram)
+    p.set_defaults(func=cmd_embed_gram, file_overrides={"dataset": data, "model": angles})
 
     return parser
 
@@ -300,12 +321,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        flag = _path_flag(args, exc.filename)
-        if flag is None:
-            raise
-        print(f"error: {flag} {exc.filename!r}: {exc.strerror}", file=sys.stderr)
-        return 2
     except (MazeFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -78,7 +78,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .header import config_header
 from .maze import MazeGraph, degrees
 from .states import HERMITIAN_ATOL, DensityMatrix
 
@@ -775,19 +774,17 @@ def p_sink_from_integral(traj: Trajectory, model: LindbladModel) -> np.ndarray:
     return model.G[model.sink, model.sink_exit] * cumulative[traj.sample_steps]
 
 
-def write_trajectory_csv(traj: Trajectory, path, config: dict | None = None) -> None:
-    """Write `t,p_sink,pop_0..pop_N` rows, one per snapshot."""
+def write_trajectory_csv(traj: Trajectory, fh) -> None:
+    """Write `t,p_sink,pop_0..pop_N` rows, one per snapshot, to the text stream ``fh``."""
     n_pop = traj.states[0].dim
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(config_header(config))
-        fh.write("t,p_sink," + ",".join(f"pop_{i}" for i in range(n_pop)) + "\n")
-        for t, p_sink, state in zip(traj.times, traj.p_sink_series, traj.states):
-            pops = ",".join(map(repr, state.populations.tolist()))
-            fh.write(f"{float(t)!r},{float(p_sink)!r},{pops}\n")
+    fh.write("t,p_sink," + ",".join(f"pop_{i}" for i in range(n_pop)) + "\n")
+    for t, p_sink, state in zip(traj.times, traj.p_sink_series, traj.states):
+        pops = ",".join(map(repr, state.populations.tolist()))
+        fh.write(f"{float(t)!r},{float(p_sink)!r},{pops}\n")
 
 
-def write_states_json(traj: Trajectory, path, config: dict | None = None) -> None:
-    """Full snapshots as nested arrays of [re, im] pairs."""
+def write_states_json(traj: Trajectory, fh, config: dict | None = None) -> None:
+    """Write full snapshots as nested arrays of [re, im] pairs, with ``config``, to the text stream ``fh``."""
     doc = {
         "config": {} if config is None else config,
         "times": [float(t) for t in traj.times],
@@ -796,7 +793,6 @@ def write_states_json(traj: Trajectory, path, config: dict | None = None) -> Non
             for state in traj.states
         ],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    json.dump(doc, fh, sort_keys=True, allow_nan=False)
+    fh.write("\n")
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .header import config_header
-
 N_THETAS = 3
 SHIFT = np.pi / 2
 MAX_SHOTS = int(np.iinfo(np.int64).max)  # numpy's binomial takes an int64 count
@@ -316,8 +314,8 @@ def classify(points, model: EmbeddingModel, train_dataset: LabeledDataset1D) -> 
     return tuple("A" if a >= b else "B" for a, b in zip(mean_a, mean_b))
 
 
-def write_gram_csv(g: GramMatrix, path, config: dict | None = None) -> None:
-    """One row per line, each entry written as ``repr(float)``.
+def write_gram_csv(g: GramMatrix, fh) -> None:
+    """Write one row per line to the text stream ``fh``, each entry as ``repr(float)``.
 
     Each distinct value is formatted once: a sampled matrix holds at most
     shots + 1 of them. Values are told apart by their bits, not by float
@@ -327,19 +325,15 @@ def write_gram_csv(g: GramMatrix, path, config: dict | None = None) -> None:
     keys, inverse = np.unique(m.view(np.int64), return_inverse=True)
     text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
     rows = text[inverse.reshape(m.shape)].tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(config_header(config))
-        fh.write("".join(",".join(row) + "\n" for row in rows))
+    fh.write("".join(",".join(row) + "\n" for row in rows))
 
 
-def write_training_log(curve: np.ndarray, theta_log: np.ndarray, path, config: dict | None = None) -> None:
-    """Write `epoch,loss,theta1,theta2,theta3` rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(config_header(config))
-        fh.write("epoch,loss,theta1,theta2,theta3\n")
-        for epoch, (value, thetas) in enumerate(zip(curve, theta_log)):
-            ts = ",".join(repr(float(t)) for t in thetas)
-            fh.write(f"{epoch},{float(value)!r},{ts}\n")
+def write_training_log(curve: np.ndarray, theta_log: np.ndarray, fh) -> None:
+    """Write `epoch,loss,theta1,theta2,theta3` rows to the text stream ``fh``."""
+    fh.write("epoch,loss,theta1,theta2,theta3\n")
+    for epoch, (value, thetas) in enumerate(zip(curve, theta_log)):
+        ts = ",".join(repr(float(t)) for t in thetas)
+        fh.write(f"{epoch},{float(value)!r},{ts}\n")
 
 
 def _json_float(value, field: str) -> float:

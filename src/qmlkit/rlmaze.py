@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import QSWParams, build_model, initial_state, propagate, whole_steps
-from .header import config_header
 from .maze import MazeGraph, grid_links, toggle_link
 from .states import DensityMatrix
 
@@ -378,10 +377,8 @@ def evaluate(env: MazeEnv, policy: Policy) -> float:
     return float(run_episode(env, policy).final_p_sink)
 
 
-def write_curve_csv(curve: LearningCurve, path, config: dict | None = None) -> None:
-    """Write `episode,reward,running_avg_100` rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(config_header(config))
-        fh.write("episode,reward,running_avg_100\n")
-        for i, (r, avg) in enumerate(zip(curve.rewards, curve.running_avg)):
-            fh.write(f"{i},{float(r)!r},{float(avg)!r}\n")
+def write_curve_csv(curve: LearningCurve, fh) -> None:
+    """Write `episode,reward,running_avg_100` rows to the text stream ``fh``."""
+    fh.write("episode,reward,running_avg_100\n")
+    for i, (r, avg) in enumerate(zip(curve.rewards, curve.running_avg)):
+        fh.write(f"{i},{float(r)!r},{float(avg)!r}\n")

@@ -635,6 +635,92 @@ class TestTopLevel:
         assert capsys.readouterr().err == f"error: --maze {missing!r}: No such file or directory\n"
 
 
+DEV_FULL = "/dev/full"  # a device whose writes fail with ENOSPC
+needs_dev_full = pytest.mark.skipif(not os.path.exists(DEV_FULL), reason=f"no {DEV_FULL} on this system")
+RL_WALK = ("--maze", "maze3.json", *RL_FLAGS)  # the small_maze fixture's file, run from tmp_path
+RL_WALK_TEXT = " ".join(map(str, RL_WALK))
+
+
+class TestFiles:
+    """The files the CLI reads and writes: the line that opens each text output, and a file that fails."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ("qsw-run", "--maze", "maze3.json", "--p", 0.5, "--t-final", 1, "-o", "out"),
+                "# config: dt=0.005 gamma=1.0 maze=maze3.json p=0.5 sample_every=10 t_final=1.0",
+            ),
+            (
+                ("rl-train", *RL_WALK, "--episodes", 2, "--seed", 3, "-o", "out"),
+                "# config: action_period=0.5 discount=1.0 dt=0.05 episodes=2 epsilon_end=0.05 epsilon_start=1.0"
+                " gamma=1.0 learning_rate=0.1 max_actions=2 maze=maze3.json p=0.8 seed=3 t_final=2.0",
+            ),
+            (
+                ("rl-eval", *RL_WALK, "-o", "out"),
+                "# config: action_period=0.5 dt=0.05 gamma=1.0 max_actions=2 maze=maze3.json p=0.8 policy= t_final=2.0",
+            ),
+            (
+                ("embed-train", "--n-per-class", 2, "--epochs", 2, "--seed", 0, "-o", "out"),
+                "# config: dataset=synthetic(n_per_class=2, data_seed=0) epochs=2 lr=0.1 seed=0",
+            ),
+            (
+                ("embed-gram", "--n-per-class", 2, "-o", "out"),
+                "# config: dataset=synthetic(n_per_class=2, data_seed=0) mode=exact seed=n/a shots=n/a thetas=0.0,0.0,0.0",
+            ),
+            (
+                ("embed-gram", "--data-seed", 4, "--thetas", 0.5, -1.25, 0, "--mode", "sampled", "--shots", 7, "--seed", 1, "-o", "out"),
+                "# config: dataset=synthetic(n_per_class=5, data_seed=4) mode=sampled seed=1 shots=7 thetas=0.5,-1.25,0.0",
+            ),
+        ],
+        ids=["qsw-run", "rl-train", "rl-eval", "embed-train", "embed-gram-exact", "embed-gram-sampled"],
+    )
+    def test_text_output_opens_with_its_config_line(self, argv, line, tmp_path, small_maze):
+        result = run_cli(*argv, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "out").read_bytes().startswith(line.encode("utf-8") + b"\n")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("rl-eval {rl} --policy {path}", "--policy"),
+            ("embed-gram --dataset {path} -o out", "--dataset"),
+            ("embed-gram --model {path} -o out", "--model"),
+        ],
+        ids=["policy", "dataset", "model"],
+    )
+    def test_missing_input_names_its_flag(self, argv, flag, tmp_path, small_maze, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = str(tmp_path / "missing.json")
+        assert cli.main(argv.format(path=path, rl=RL_WALK_TEXT).split()) == 2
+        assert capsys.readouterr().err == f"error: {flag} {path!r}: No such file or directory\n"
+
+    @needs_dev_full
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("maze-gen --width 3 --height 3 --seed 2 -o {full}", "--output"),
+            ("qsw-run --maze maze3.json --p 0.5 --t-final 1 -o {full}", "--output"),
+            ("qsw-run --maze maze3.json --p 0.5 --t-final 1 -o out --states-out {full}", "--states-out"),
+            ("rl-train {rl} --episodes 2 --seed 3 -o {full}", "--output"),
+            ("rl-train {rl} --episodes 2 --seed 3 -o out --policy-out {full}", "--policy-out"),
+            ("rl-eval {rl} -o {full}", "--output"),
+            ("embed-train --n-per-class 2 --epochs 2 --seed 0 -o {full}", "--output"),
+            ("embed-train --n-per-class 2 --epochs 2 --seed 0 -o out --model-out {full}", "--model-out"),
+            ("embed-train --n-per-class 2 --epochs 2 --seed 0 -o out --dataset-out {full}", "--dataset-out"),
+            ("embed-gram --n-per-class 2 -o {full}", "--output"),
+        ],
+        ids=[
+            "maze-gen", "qsw-run", "states-out", "rl-train", "policy-out", "rl-eval",
+            "embed-train", "model-out", "dataset-out", "embed-gram",
+        ],
+    )
+    def test_output_that_cannot_be_written_names_its_flag(self, argv, flag, tmp_path, small_maze, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv.format(full=DEV_FULL, rl=RL_WALK_TEXT).split()) == 2
+        assert capsys.readouterr().err == f"error: {flag} {DEV_FULL!r}: No space left on device\n"
+
+
 def record_defaults(record) -> dict:
     """The fields of a dataclass record that have a default, with that default."""
     return {f.name: f.default for f in dataclasses.fields(record) if f.default is not dataclasses.MISSING}
@@ -703,6 +789,8 @@ class TestProcess:
             (("qsw-run", "--maze", bad, "--p", 0.5, "-o", tmp_path / "t.csv"), 2, "error: width: expected an integer"),
             (("qsw-run", "--maze", small_maze, *UNSTABLE_RL_FLAGS[:6], "-o", tmp_path / "t.csv"), 3, "integration failure: invalid state at step 1: "),
         )
+        if os.path.exists(DEV_FULL):
+            cases += ((("qsw-run", "--maze", small_maze, "--p", 0.5, "--t-final", 1, "-o", DEV_FULL), 2, f"error: --output {DEV_FULL!r}: No space left on device\n"),)
         for args, code, start in cases:
             result = run_process(*args)
             assert result.returncode == code, result.stderr

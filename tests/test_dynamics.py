@@ -801,6 +801,28 @@ class TestKrylovSpan:
         with pytest.raises(ValueError, match=r"^n_steps must be non-negative, got -3$"):
             propagate(initial_state(model), model, -3)
 
+    def test_zero_steps_return_the_start_state(self):
+        model = build_model(generate_perfect_maze(3, 3, seed=1), QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0))
+        start = propagate(initial_state(model), model, 7)
+        with mock.patch.object(dynamics, "_rhs", wraps=_rhs) as counted:
+            out = propagate(start, model, 0, first_step=7, exit_trace=np.empty(0))
+        assert counted.call_count == 0
+        np.testing.assert_array_equal(out.matrix, start.matrix)
+
+    def test_step_that_writes_a_nan_fails_as_a_non_finite_state(self):
+        # a NaN stored into the state raises no floating-point flag: the trace check catches it
+        model = build_model(generate_perfect_maze(3, 3, seed=1), QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0))
+        rk4_step = dynamics._rk4_step
+
+        def nan_step(r, dt, form):
+            rk4_step(r, dt, form)
+            r[0, 0] = np.nan
+
+        with stepping_only(), mock.patch.object(dynamics, "_rk4_step", nan_step):
+            message, step, t, dt, drift, last_good = outcome(lambda: propagate(initial_state(model), model, 5, first_step=7))
+        assert (message, step, dt, last_good) == ("non-finite state at step 8, t=0.8, dt=0.1", 8, 0.1, 7)
+        assert t == pytest.approx(0.8) and np.isnan(drift)
+
     def test_step_whose_product_with_the_norm_bound_overflows_is_refused(self):
         model = build_model(generate_perfect_maze(3, 3, seed=1), QSWParams(p=0.8, gamma=1.0, dt=1e308, t_final=1e308))
         with pytest.raises(ValueError, match=r"^dt=1e\+308 is too large for this model: dt times its generator's norm bound \S+ is not finite$"):

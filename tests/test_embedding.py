@@ -1,3 +1,4 @@
+import io
 import re
 
 import numpy as np
@@ -85,6 +86,11 @@ class TestEmbed:
     def test_angle_too_large_for_a_float_rejected(self):
         with pytest.raises(ValueError, match="^thetas: angle 0 is too large for a float$"):
             EmbeddingModel((10**400, 0, 0))
+
+    @pytest.mark.parametrize("thetas", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4)], ids=["two", "four"])
+    def test_wrong_number_of_angles_rejected(self, thetas):
+        with pytest.raises(ValueError, match=rf"^expected 3 angles, got {len(thetas)}$"):
+            EmbeddingModel(thetas)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 50), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
@@ -289,6 +295,11 @@ class TestGram:
         with pytest.raises(ValueError):
             GramMatrix(np.array([[1.0, 1.2], [1.2, 1.0]]))  # out of range
 
+    @pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))], ids=["2x3", "1-d", "3-d"])
+    def test_gram_matrix_that_is_not_square_rejected(self, m):
+        with pytest.raises(ValueError, match="^Gram matrix must be square$"):
+            GramMatrix(m)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_gram_matrix_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError, match="Gram entries must be finite"):
@@ -357,19 +368,15 @@ class TestWriteGramCsv:
     @example(m=np.array([[0.25]]))
     @example(m=np.array([[-0.0, 0.0], [0.0, -0.0]]))
     @example(m=np.array([[1.0, 5e-324], [5e-324, 0.0]]))
-    def test_matches_per_entry_repr(self, tmp_path_factory, m):
-        path = tmp_path_factory.mktemp("gram") / "g.csv"
-        config = {"mode": "sampled", "shots": 100}
-        write_gram_csv(GramMatrix(m), path, config)
-        expected = "# config: mode=sampled shots=100\n" + "".join(
-            ",".join(repr(float(v)) for v in row) + "\n" for row in m
-        )
-        assert path.read_bytes() == expected.encode("utf-8")
+    def test_matches_per_entry_repr(self, m):
+        out = io.StringIO()
+        write_gram_csv(GramMatrix(m), out)
+        assert out.getvalue() == "".join(",".join(repr(float(v)) for v in row) + "\n" for row in m)
 
-    def test_no_config_writes_rows_only(self, tmp_path):
-        path = tmp_path / "g.csv"
-        write_gram_csv(GramMatrix(np.array([[1.0, -0.0], [0.0, 1.0]])), path)
-        assert path.read_bytes() == b"1.0,-0.0\n0.0,1.0\n"
+    def test_no_config_writes_rows_only(self):
+        out = io.StringIO()
+        write_gram_csv(GramMatrix(np.array([[1.0, -0.0], [0.0, 1.0]])), out)
+        assert out.getvalue() == "1.0,-0.0\n0.0,1.0\n"
 
 
 class TestLoss:
@@ -562,6 +569,10 @@ class TestDatasetValidation:
     def test_non_finite_point_rejected(self):
         with pytest.raises(ValueError):
             LabeledDataset1D(np.array([0.1, np.nan]), ("A", "B"))
+
+    def test_more_labels_than_points_rejected(self):
+        with pytest.raises(ValueError, match="^labels and points must have equal length$"):
+            LabeledDataset1D(np.array([0.1, 0.2]), ("A", "B", "A"))
 
     def test_point_too_large_for_a_float_rejected(self):
         with pytest.raises(ValueError, match="^points: point 1 is too large for a float$"):

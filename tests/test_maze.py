@@ -186,6 +186,11 @@ class TestMazeGraphValidation:
         with pytest.raises(ValueError, match=message):
             MazeGraph(width, height, edges, entrance=0, exit=width * height - 1, seed=0)
 
+    @pytest.mark.parametrize("width, height", [(0, 3), (3, 0), (-1, 2)], ids=["width-0", "height-0", "negative"])
+    def test_rejects_a_grid_without_cells(self, width, height):
+        with pytest.raises(ValueError, match="^maze dimensions must be positive$"):
+            MazeGraph(width, height, [], entrance=0, exit=0, seed=0)
+
     @settings(max_examples=200, deadline=None)
     @given(case=grid_and_links())
     def test_accepts_exactly_grid_adjacent_links(self, case):

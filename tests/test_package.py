@@ -1,8 +1,8 @@
 """Structural checks on the qmlkit package, read from its source with ``ast``.
 
 No qmlkit module imports or reads a ``_``-prefixed name of another
-(dunders such as ``__version__`` are public), and every name that
-``qmlkit.__all__`` lists resolves.
+(dunders such as ``__version__`` are public), only ``cli.py`` opens
+files, and every name that ``qmlkit.__all__`` lists resolves.
 """
 
 import ast
@@ -80,6 +80,37 @@ def test_no_private_name_crosses_modules(path):
 )
 def test_guard_catches_private_reads(source, expected):
     assert private_reads(source) == expected
+
+
+def opens(source: str, filename: str = "<module>") -> list[str]:
+    """``line: text`` of each call to the builtin ``open`` or to an ``.open`` attribute (``io.open``, ``Path.open``)."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open") or (isinstance(func, ast.Attribute) and func.attr == "open"):
+                found.append(f"{node.lineno}: {ast.unparse(func)}")
+    return found
+
+
+def test_only_the_cli_opens_files():
+    found = {path.name: opens(path.read_text(encoding="utf-8"), str(path)) for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines and name != "cli.py"} == {}
+    assert found["cli.py"]
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("with open(path) as fh:\n    fh.read()\n", ["1: open"]),
+        ("import io\nio.open(path, 'w')\n", ["2: io.open"]),
+        ("Path(path).open('w').write(text)\n", ["1: Path(path).open"]),
+        ("fh.write(text)\nopener = open\n", []),
+    ],
+    ids=["builtin", "module-attribute", "path-method", "no-call"],
+)
+def test_guard_catches_opens(source, expected):
+    assert opens(source) == expected
 
 
 def test_every_public_name_resolves():
