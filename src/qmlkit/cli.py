@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MazeFormatError, ValueError) as exc:
+    except ValueError as exc:  # MazeFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrationError as exc:

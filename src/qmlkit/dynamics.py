@@ -673,8 +673,7 @@ def _stepped(
                     raise IntegrationError(
                         problem, step, t=step * dt, dt=dt, drift=float(abs(tr - 1.0)), last_good_step=first_step
                     )
-                if exit_trace is not None:
-                    exit_trace[step - first_step - 1] = r[n, n]
+                exit_trace[step - first_step - 1] = r[n, n]
             try:
                 return DensityMatrix(_to_complex(r))
             except ValueError as exc:

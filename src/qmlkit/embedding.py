@@ -14,6 +14,7 @@ for half-angle rotations.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,22 +25,28 @@ MAX_SHOTS = int(np.iinfo(np.int64).max)  # numpy's binomial takes an int64 count
 SAMPLED_SHOTS = 100  # gram's shots when mode="sampled" leaves them out
 
 
+def _json_float(value, field: str) -> float:
+    """A real number, not a bool, as a finite float; ``ValueError`` naming ``field`` otherwise."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{field} must be a number")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"{field} is too large for a float") from None
+    if not np.isfinite(x):
+        raise ValueError(f"{field} must be finite")
+    return x
+
+
 @dataclass(frozen=True)
 class EmbeddingModel:
-    """The three trainable rotation angles."""
+    """The three trainable rotation angles, each a finite real number and
+    not a bool, stored as floats; a bad one raises ValueError naming it."""
 
     thetas: tuple[float, float, float]
 
     def __post_init__(self):
-        thetas = []
-        for k, t in enumerate(self.thetas):
-            try:
-                thetas.append(float(t))
-            except OverflowError:
-                raise ValueError(f"thetas: angle {k} is too large for a float") from None
-            if not np.isfinite(thetas[-1]):
-                raise ValueError(f"thetas: angle {k} must be finite, got {thetas[-1]!r}")
-        thetas = tuple(thetas)
+        thetas = tuple(_json_float(t, f"thetas: angle {k}") for k, t in enumerate(self.thetas))
         if len(thetas) != N_THETAS:
             raise ValueError(f"expected {N_THETAS} angles, got {len(thetas)}")
         object.__setattr__(self, "thetas", thetas)
@@ -271,6 +278,8 @@ class TrainConfig:
     def __post_init__(self):
         if not np.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be finite, got {self.learning_rate!r}")
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int):
+            raise ValueError(f"epochs must be an int, got {type(self.epochs).__name__} {self.epochs!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
 
@@ -336,26 +345,13 @@ def write_training_log(curve: np.ndarray, theta_log: np.ndarray, fh) -> None:
         fh.write(f"{epoch},{float(value)!r},{ts}\n")
 
 
-def _json_float(value, field: str) -> float:
-    """A parsed JSON number as a finite float; ``ValueError`` naming ``field`` otherwise."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{field} must be a number")
-    try:
-        x = float(value)
-    except OverflowError:
-        raise ValueError(f"{field} is too large for a float") from None
-    if not np.isfinite(x):
-        raise ValueError(f"{field} must be finite")
-    return x
-
-
 def model_from_json(text: str) -> EmbeddingModel:
-    """Parse an angles document (an object with a ``thetas`` array)."""
+    """Parse an angles document (an object with a ``thetas`` array of 3 values), whose angles the model checks."""
     doc = json.loads(text)
     thetas = doc.get("thetas") if isinstance(doc, dict) else None
     if not isinstance(thetas, list) or len(thetas) != N_THETAS:
         raise ValueError(f"thetas: expected an array of {N_THETAS} numbers")
-    return EmbeddingModel(tuple(_json_float(t, f"thetas: angle {k}") for k, t in enumerate(thetas)))
+    return EmbeddingModel(tuple(thetas))
 
 
 def dataset_to_json(dataset: LabeledDataset1D) -> str:

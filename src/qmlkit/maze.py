@@ -10,7 +10,7 @@ deliberate.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import index
 
 import numpy as np
@@ -65,8 +65,11 @@ def _grid_neighbors(width: int, height: int, node: int) -> list[int]:
 class MazeGraph:
     """Grid cells joined by ``edges``, with an entrance and an exit.
 
-    ``edges`` may be given as any iterable of (i, j) pairs with i < j; it
-    is checked once and stored as a sorted tuple of tuples.
+    Each field is checked on construction, and a bad one raises
+    ValueError naming it: ``edges`` is any iterable of distinct
+    grid-adjacent (i, j) pairs with i < j, stored sorted, and every other
+    field and link end is an int, given as anything ``operator.index``
+    takes but a bool.
     """
 
     width: int
@@ -77,13 +80,27 @@ class MazeGraph:
     seed: int
 
     def __post_init__(self):
+        for name in ("width", "height", "entrance", "exit", "seed"):
+            value = getattr(self, name)
+            try:
+                if type(value) is bool:
+                    raise TypeError
+                object.__setattr__(self, name, index(value))
+            except TypeError:
+                raise ValueError(f"{name}: expected an integer") from None
         width = self.width
         if width < 1 or self.height < 1:
-            raise ValueError("maze dimensions must be positive")
+            raise ValueError("width and height must be positive")
         n = width * self.height
         links = set()
-        for k, (i, j) in enumerate(self.edges):
-            i, j = index(i), index(j)
+        for k, pair in enumerate(self.edges):
+            try:
+                i, j = pair
+                if type(i) is bool or type(j) is bool:
+                    raise TypeError
+                i, j = index(i), index(j)
+            except (TypeError, ValueError):
+                raise ValueError(f"edges[{k}]: expected a pair of integers") from None
             if not (0 <= i < n and 0 <= j < n):
                 problem = f"node pair ({i},{j}) out of range for {n} cells"
             elif i >= j:
@@ -126,8 +143,7 @@ def generate_perfect_maze(width: int, height: int, seed: int, exit: int | None =
     """
     if width < 2 or height < 2:
         raise ValueError(f"maze width and height must be at least 2, got {width}x{height}")
-    n = width * height
-    exit_node = n - 1 if exit is None else int(exit)
+    exit = width * height - 1 if exit is None else exit
     rng = np.random.default_rng(seed)
     edges = []
     visited = {0}
@@ -142,7 +158,7 @@ def generate_perfect_maze(width: int, height: int, seed: int, exit: int | None =
         edges.append((min(current, nxt), max(current, nxt)))
         visited.add(nxt)
         stack.append(nxt)
-    return MazeGraph(width, height, edges, entrance=0, exit=exit_node, seed=int(seed))
+    return MazeGraph(width, height, edges, entrance=0, exit=exit, seed=seed)
 
 
 def degrees(maze: MazeGraph) -> np.ndarray:
@@ -178,17 +194,13 @@ def serialize(maze: MazeGraph) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-_MAZE_KEYS = {"width", "height", "entrance", "exit", "seed", "edges"}
-
-
 def deserialize(text: str) -> MazeGraph:
-    """Parse a maze JSON document.
+    """Parse a maze JSON document: an object with exactly the fields of
+    :class:`MazeGraph`, ``edges`` as an array of [i, j] pairs.
 
-    The document is an object with integer fields ``width``, ``height``,
-    ``entrance``, ``exit``, ``seed`` and an ``edges`` array of [i, j]
-    pairs with i < j, in any order. Malformed input raises
-    :class:`MazeFormatError` naming the offending field, down to the
-    index k of a bad ``edges[k]``.
+    Only the document's shape is checked here; the record checks each
+    field. Malformed input raises :class:`MazeFormatError` naming the
+    offending field, down to the index k of a bad ``edges[k]``.
     """
     try:
         doc = json.loads(text)
@@ -196,28 +208,13 @@ def deserialize(text: str) -> MazeGraph:
         raise MazeFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MazeFormatError("top-level value must be an object")
-    missing = _MAZE_KEYS - doc.keys()
-    if missing:
-        raise MazeFormatError(f"missing keys: {sorted(missing)}")
-    extra = doc.keys() - _MAZE_KEYS
-    if extra:
-        raise MazeFormatError(f"unknown keys: {sorted(extra)}")
-    for key in ("width", "height", "entrance", "exit", "seed"):
-        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
-            raise MazeFormatError(f"{key}: expected an integer")
-    width, height = doc["width"], doc["height"]
-    if width < 1 or height < 1:
-        raise MazeFormatError("width and height must be positive")
+    keys = {field.name for field in fields(MazeGraph)}
+    for problem, names in (("missing", keys - doc.keys()), ("unknown", doc.keys() - keys)):
+        if names:
+            raise MazeFormatError(f"{problem} keys: {sorted(names)}")
     if not isinstance(doc["edges"], list):
         raise MazeFormatError("edges: expected an array")
-    for k, pair in enumerate(doc["edges"]):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
-        ):
-            raise MazeFormatError(f"edges[{k}]: expected a pair of integers")
     try:
-        return MazeGraph(width, height, doc["edges"], doc["entrance"], doc["exit"], doc["seed"])
+        return MazeGraph(**doc)
     except ValueError as exc:
         raise MazeFormatError(str(exc)) from exc

@@ -88,6 +88,8 @@ class MazeEnv:
     """
 
     def __init__(self, base_maze: MazeGraph, params: QSWParams, action_period: float, max_actions: int):
+        if isinstance(max_actions, bool) or not isinstance(max_actions, int):
+            raise ValueError(f"max_actions must be an int, got {type(max_actions).__name__} {max_actions!r}")
         if max_actions < 1:
             raise ValueError("max_actions must be >= 1")
         if action_period <= 0:
@@ -322,9 +324,12 @@ def train(
 
     Greedy ties resolve to the first maximum in action-space order, so
     an untrained table always selects the no-op and the corresponding
-    curve reproduces the plain-walker baseline. An episode count whose
-    record cannot be allocated raises ValueError naming it and the bytes.
+    curve reproduces the plain-walker baseline. An episode count that is
+    not an int, or whose record cannot be allocated, raises ValueError
+    naming it.
     """
+    if isinstance(episodes, bool) or not isinstance(episodes, int):
+        raise ValueError(f"episodes must be an int, got {type(episodes).__name__} {episodes!r}")
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     try:

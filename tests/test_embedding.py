@@ -87,6 +87,25 @@ class TestEmbed:
         with pytest.raises(ValueError, match="^thetas: angle 0 is too large for a float$"):
             EmbeddingModel((10**400, 0, 0))
 
+    @pytest.mark.parametrize(
+        "angle, message",
+        [
+            ("0.5", "must be a number"),
+            (True, "must be a number"),
+            (None, "must be a number"),
+            (np.nan, "must be finite"),
+        ],
+        ids=["str", "bool", "none", "nan"],
+    )
+    def test_bad_angle_names_it(self, angle, message):
+        with pytest.raises(ValueError, match=f"^thetas: angle 1 {message}$"):
+            EmbeddingModel((0.0, angle, 0.0))
+
+    def test_numpy_reals_are_stored_as_float(self):
+        model = EmbeddingModel((np.float32(0.5), np.int64(2), np.float64(-1.5)))
+        assert model.thetas == (0.5, 2.0, -1.5)
+        assert all(type(t) is float for t in model.thetas)
+
     @pytest.mark.parametrize("thetas", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4)], ids=["two", "four"])
     def test_wrong_number_of_angles_rejected(self, thetas):
         with pytest.raises(ValueError, match=rf"^expected 3 angles, got {len(thetas)}$"):
@@ -478,6 +497,11 @@ class TestTrain:
     def test_config_rejects_bad_fields(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("epochs", [2.5, True, "3"], ids=["float", "bool", "str"])
+    def test_config_rejects_epochs_that_are_not_an_int(self, epochs):
+        with pytest.raises(ValueError, match=f"^epochs must be an int, got {type(epochs).__name__} "):
+            TrainConfig(epochs=epochs)
 
     def test_loss_decreases_on_benchmark(self):
         ds = synth_dataset(10, seed=11)

@@ -188,8 +188,41 @@ class TestMazeGraphValidation:
 
     @pytest.mark.parametrize("width, height", [(0, 3), (3, 0), (-1, 2)], ids=["width-0", "height-0", "negative"])
     def test_rejects_a_grid_without_cells(self, width, height):
-        with pytest.raises(ValueError, match="^maze dimensions must be positive$"):
+        with pytest.raises(ValueError, match="^width and height must be positive$"):
             MazeGraph(width, height, [], entrance=0, exit=0, seed=0)
+
+    @pytest.mark.parametrize("field", ["width", "height", "entrance", "exit", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.0, "2", None, [2]], ids=["bool", "float", "str", "none", "list"])
+    def test_rejects_a_field_that_is_not_an_integer(self, field, value):
+        fields = dict(width=3, height=3, edges=[], entrance=0, exit=8, seed=0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field}: expected an integer$"):
+            MazeGraph(**fields)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [(0.0, 1), (0, True), (0,), (0, 1, 2), "01", 1, None, (np.True_, 1)],
+        ids=["float", "bool", "short", "long", "str", "int", "none", "numpy-bool"],
+    )
+    def test_rejects_an_edge_that_is_not_a_pair_of_integers(self, pair):
+        with pytest.raises(ValueError, match=r"^edges\[1\]: expected a pair of integers$"):
+            MazeGraph(3, 3, [(0, 1), pair], entrance=0, exit=8, seed=0)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        maze = MazeGraph(*map(np.int64, (3, 3)), [np.array([0, 1])], np.int64(0), np.uint8(8), np.int64(-5))
+        assert maze == MazeGraph(3, 3, [(0, 1)], entrance=0, exit=8, seed=-5)
+        assert all(type(v) is int for v in (maze.width, maze.height, maze.entrance, maze.exit, maze.seed, *maze.edges[0]))
+        assert deserialize(serialize(maze)) == maze
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"exit": 2.7}, "exit: expected an integer"), ({"seed": True}, "seed: expected an integer")],
+        ids=["float-exit", "bool-seed"],
+    )
+    def test_generation_passes_no_rounded_field(self, kwargs, message):
+        fields = dict(width=3, height=3, seed=1) | kwargs
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate_perfect_maze(**fields)
 
     @settings(max_examples=200, deadline=None)
     @given(case=grid_and_links())

@@ -68,6 +68,13 @@ class TestEnvSetup:
         with pytest.raises(ValueError, match="action_period"):
             MazeEnv(maze, PARAMS, action_period=0.99, max_actions=4)  # dt = 0.02
 
+    @pytest.mark.parametrize("max_actions", [2.5, True, 2.0], ids=["fraction", "bool", "whole-float"])
+    def test_max_actions_must_be_an_int(self, max_actions):
+        # refused before any episode: a fractional count would never end one
+        maze = generate_perfect_maze(3, 3, seed=0)
+        with pytest.raises(ValueError, match=f"^max_actions must be an int, got {type(max_actions).__name__} "):
+            MazeEnv(maze, PARAMS, action_period=1.0, max_actions=max_actions)
+
 
 class TestReset:
     def test_populations_one_hot_at_entrance(self, env):
@@ -329,6 +336,11 @@ class TestTrain:
     def test_rejects_zero_episodes(self, env):
         with pytest.raises(ValueError):
             train(env, QLearningConfig(), episodes=0, seed=0)
+
+    @pytest.mark.parametrize("episodes", [2.5, True], ids=["fraction", "bool"])
+    def test_rejects_episodes_that_are_not_an_int(self, env, episodes):
+        with pytest.raises(ValueError, match=f"^episodes must be an int, got {type(episodes).__name__} "):
+            train(env, QLearningConfig(), episodes=episodes, seed=0)
 
 
 class TestQLearningConfig:
