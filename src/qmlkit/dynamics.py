@@ -78,6 +78,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .fields import integer, real
 from .maze import MazeGraph, degrees
 from .states import HERMITIAN_ATOL, DensityMatrix
 
@@ -148,6 +149,9 @@ class QSWParams:
     dt:      RK4 step
     t_final: integration horizon, a whole number of steps whose per-step
              record (8 bytes a step) can be allocated
+
+    Each field is a real number as :func:`fields.real` takes it, stored
+    as a float; a bad one raises ValueError naming it.
     """
 
     p: float
@@ -157,8 +161,7 @@ class QSWParams:
 
     def __post_init__(self):
         for name in ("p", "gamma", "dt", "t_final"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         if self.gamma <= 0.0:
@@ -590,12 +593,16 @@ def propagate(
     :class:`IntegrationError` with the index of the first bad step,
     offset by ``first_step``. When ``exit_trace`` is given it receives
     the exit-node occupation after each step, and its last entry equals
-    the returned state's. A state not of the model's dimension, a negative
-    n_steps, an exit_trace not of length n_steps or, for n_steps > 0, a dt
-    whose product with the norm bound is not finite raises ValueError, and
-    an n_steps that is not an int (a bool included) TypeError.
+    the returned state's. A state not of the model's dimension, an
+    n_steps or first_step that is not a non-negative integer (as
+    :func:`fields.integer` takes it), an n_steps whose exit-node record
+    cannot be allocated, an exit_trace not of length n_steps or, for
+    n_steps > 0, a dt whose product with the norm bound is not finite
+    raises ValueError, before any work.
     """
-    _check_start(state, model, n_steps)
+    n_steps = integer(n_steps, "n_steps", low=0)
+    first_step = integer(first_step, "first_step", low=0)
+    _check_dimension(state, model)
     if exit_trace is not None and np.shape(exit_trace) != (n_steps,):
         raise ValueError(f"exit_trace has shape {np.shape(exit_trace)}, expected ({n_steps},)")
     if n_steps == 0:
@@ -603,19 +610,10 @@ def propagate(
     return _advance(state, model, n_steps, n_steps, first_step, exit_trace)[-1]
 
 
-def _check_count(value, name: str) -> None:
-    """Refuse a step count that is not an int; a bool is refused too."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__} {value!r}")
-
-
-def _check_start(state: DensityMatrix, model: LindbladModel, n_steps: int) -> None:
-    """Refuse, before any work, a state not of the model's dimension or an n_steps that is not a non-negative int."""
-    _check_count(n_steps, "n_steps")
+def _check_dimension(state: DensityMatrix, model: LindbladModel) -> None:
+    """Refuse, before any work, a state not of the model's dimension."""
     if state.dim != model.dim:
         raise ValueError(f"initial state dimension {state.dim} does not match model {model.dim}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
 
 
 def _advance(
@@ -627,12 +625,16 @@ def _advance(
     Inside the stability guard as many as pass come from
     :func:`_krylov_states`; the rest are stepped chunk by chunk from the
     last of them by :func:`_stepped`, which raises on the first bad step.
-    A dt whose product with the norm bound overflows raises ValueError.
+    A dt whose product with the norm bound overflows, or an n_steps whose
+    exit-node record cannot be allocated, raises ValueError.
     """
-    form = _RealForm(model)
     rows = exit_trace is not None or every < n_steps  # else only the end state is wanted
     if exit_trace is None:
-        exit_trace = np.empty(n_steps)
+        try:
+            exit_trace = np.empty(n_steps)
+        except (MemoryError, ValueError) as exc:
+            raise ValueError(f"n_steps={n_steps} is too many: their exit-node record needs {8 * n_steps} bytes") from exc
+    form = _RealForm(model)
     states = []
     dt, bound = model.params.dt, _norm_bound(form)
     if not math.isfinite(dt * bound):
@@ -730,14 +732,13 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, sample_every: int = SAMPLE
     :func:`propagate`), so a failed invariant surfaces as an
     :class:`IntegrationError` from stepping the chunk where it occurs.
     The sink population series must come out non-decreasing, anything
-    else is likewise an integration failure. A ``sample_every`` below 1
-    raises ValueError, and one that is not an int TypeError.
+    else is likewise an integration failure. A ``sample_every`` that is
+    not an integer of at least 1 (as :func:`fields.integer` takes it)
+    raises ValueError naming it.
     """
     n_steps, dt = model.params.n_steps, model.params.dt
-    _check_start(rho0, model, n_steps)
-    _check_count(sample_every, "sample_every")
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
+    _check_dimension(rho0, model)
+    sample_every = integer(sample_every, "sample_every", low=1)
     n, sink = model.sink_exit, model.sink
     exit_occ = np.empty(n_steps + 1)
     exit_occ[0] = rho0.matrix[n, n].real

@@ -14,10 +14,11 @@ for half-angle rotations.
 """
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .fields import integer, real
 
 N_THETAS = 3
 SHIFT = np.pi / 2
@@ -25,31 +26,22 @@ MAX_SHOTS = int(np.iinfo(np.int64).max)  # numpy's binomial takes an int64 count
 SAMPLED_SHOTS = 100  # gram's shots when mode="sampled" leaves them out
 
 
-def _json_float(value, field: str) -> float:
-    """A real number, not a bool, as a finite float; ``ValueError`` naming ``field`` otherwise."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValueError(f"{field} must be a number")
-    try:
-        x = float(value)
-    except OverflowError:
-        raise ValueError(f"{field} is too large for a float") from None
-    if not np.isfinite(x):
-        raise ValueError(f"{field} must be finite")
-    return x
-
-
 @dataclass(frozen=True)
 class EmbeddingModel:
-    """The three trainable rotation angles, each a finite real number and
-    not a bool, stored as floats; a bad one raises ValueError naming it."""
+    """The three trainable rotation angles, any iterable of three real
+    numbers as :func:`fields.real` takes them, stored as a tuple of
+    floats; a bad one raises ValueError naming it."""
 
     thetas: tuple[float, float, float]
 
     def __post_init__(self):
-        thetas = tuple(_json_float(t, f"thetas: angle {k}") for k, t in enumerate(self.thetas))
+        try:
+            thetas = tuple(self.thetas)
+        except TypeError:
+            raise ValueError(f"thetas: expected {N_THETAS} angles") from None
         if len(thetas) != N_THETAS:
-            raise ValueError(f"expected {N_THETAS} angles, got {len(thetas)}")
-        object.__setattr__(self, "thetas", thetas)
+            raise ValueError(f"thetas: expected {N_THETAS} angles, got {len(thetas)}")
+        object.__setattr__(self, "thetas", tuple(real(t, f"thetas: angle {k}") for k, t in enumerate(thetas)))
 
 
 def _as_points(points) -> np.ndarray:
@@ -100,11 +92,13 @@ def synth_dataset(n_per_class: int, seed: int) -> LabeledDataset1D:
     """Nested 1-d benchmark: class B inside [-1, 1], class A outside.
 
     Class A is split evenly between [-3, -1.5] and [1.5, 3], so no
-    single threshold on x separates the classes. A count below 2, or one
-    whose points cannot be allocated, raises ValueError naming it.
+    single threshold on x separates the classes. A count that is not an
+    integer of at least 2 (as :func:`fields.integer` takes it), or whose
+    points cannot be allocated, and a seed that is not a non-negative
+    integer raise ValueError naming it.
     """
-    if n_per_class < 2:
-        raise ValueError(f"n_per_class must be >= 2, got {n_per_class!r}")
+    n_per_class = integer(n_per_class, "n_per_class", low=2)
+    seed = integer(seed, "seed", low=0)
     try:
         points = np.empty(2 * n_per_class)
     except (MemoryError, ValueError) as exc:
@@ -186,7 +180,9 @@ def gram(dataset, model: EmbeddingModel, mode: str = "exact", shots: int | None 
     entry (i, j) depends on the overlaps of all pairs up to it, not on
     (seed, i, j) alone, since numpy's binomial draws use a variable share
     of the stream, and the leading k x k block of an n-point matrix
-    equals the k-point matrix bit for bit.
+    equals the k-point matrix bit for bit. ``shots`` is an integer in
+    [1, MAX_SHOTS] and ``seed`` a non-negative integer, each as
+    :func:`fields.integer` takes it; a bad one raises ValueError naming it.
     """
     points = dataset.points if isinstance(dataset, LabeledDataset1D) else _as_points(dataset)
     states = _embed_batch(points, model.thetas)
@@ -196,18 +192,14 @@ def gram(dataset, model: EmbeddingModel, mode: str = "exact", shots: int | None 
                 raise ValueError(f"{name} applies only to mode='sampled', got {name}={value!r}")
         return GramMatrix(_exact_gram(states))
     if mode == "sampled":
-        shots = SAMPLED_SHOTS if shots is None else shots
-        for name, value in (("shots", shots), ("seed", seed)):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        shots = integer(SAMPLED_SHOTS if shots is None else shots, "shots")
+        seed = integer(seed, "seed", low=0)
         if not 1 <= shots <= MAX_SHOTS:
             raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
         overlap = np.minimum(1.0, _overlap_table(states, states))
         # read as (j, i), tril_indices lists the upper triangle column by column
         j, i = np.tril_indices(points.size)
-        rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
         counts = rng.binomial(shots, 0.5 * (1.0 + overlap[i, j]))
         m = np.empty_like(overlap)
         m[i, j] = m[j, i] = np.maximum(0.0, 2.0 * counts / shots - 1.0)
@@ -271,17 +263,19 @@ def gradient(model: EmbeddingModel, dataset: LabeledDataset1D) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Gradient-descent settings: ``learning_rate`` a real number as
+    :func:`fields.real` takes it, stored as a float, ``epochs`` an integer
+    of at least 1 and ``seed`` a non-negative integer, each as
+    :func:`fields.integer` takes it; a bad one raises ValueError naming it."""
+
     learning_rate: float = 0.1
     epochs: int = 300
     seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.learning_rate):
-            raise ValueError(f"learning_rate must be finite, got {self.learning_rate!r}")
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int):
-            raise ValueError(f"epochs must be an int, got {type(self.epochs).__name__} {self.epochs!r}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
+        object.__setattr__(self, "learning_rate", real(self.learning_rate, "learning_rate"))
+        object.__setattr__(self, "epochs", integer(self.epochs, "epochs", low=1))
+        object.__setattr__(self, "seed", integer(self.seed, "seed", low=0))
 
 
 def train_embedding(dataset: LabeledDataset1D, config: TrainConfig) -> tuple[EmbeddingModel, np.ndarray, np.ndarray]:
@@ -346,12 +340,12 @@ def write_training_log(curve: np.ndarray, theta_log: np.ndarray, fh) -> None:
 
 
 def model_from_json(text: str) -> EmbeddingModel:
-    """Parse an angles document (an object with a ``thetas`` array of 3 values), whose angles the model checks."""
+    """Parse an angles document (an object with a ``thetas`` array), whose angles and their count the model checks."""
     doc = json.loads(text)
     thetas = doc.get("thetas") if isinstance(doc, dict) else None
-    if not isinstance(thetas, list) or len(thetas) != N_THETAS:
+    if not isinstance(thetas, list):
         raise ValueError(f"thetas: expected an array of {N_THETAS} numbers")
-    return EmbeddingModel(tuple(thetas))
+    return EmbeddingModel(thetas)
 
 
 def dataset_to_json(dataset: LabeledDataset1D) -> str:
@@ -368,7 +362,7 @@ def dataset_from_json(text: str) -> LabeledDataset1D:
     for k, item in enumerate(doc):
         if not isinstance(item, dict) or set(item) != {"x", "label"}:
             raise ValueError(f"entry {k}: expected an object with keys x and label")
-        points.append(_json_float(item["x"], f"entry {k}: x"))
+        points.append(real(item["x"], f"entry {k}: x"))
         if item["label"] not in ("A", "B"):
             raise ValueError(f"entry {k}: label must be \"A\" or \"B\"")
         labels.append(item["label"])

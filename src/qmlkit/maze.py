@@ -11,9 +11,10 @@ deliberate.
 
 import json
 from dataclasses import dataclass, fields
-from operator import index
 
 import numpy as np
+
+from .fields import integer
 
 
 class MazeFormatError(ValueError):
@@ -68,8 +69,8 @@ class MazeGraph:
     Each field is checked on construction, and a bad one raises
     ValueError naming it: ``edges`` is any iterable of distinct
     grid-adjacent (i, j) pairs with i < j, stored sorted, and every other
-    field and link end is an int, given as anything ``operator.index``
-    takes but a bool.
+    field and link end is an int, as :func:`fields.integer` takes it;
+    ``seed`` is non-negative, so that it regenerates a perfect maze.
     """
 
     width: int
@@ -80,25 +81,22 @@ class MazeGraph:
     seed: int
 
     def __post_init__(self):
-        for name in ("width", "height", "entrance", "exit", "seed"):
-            value = getattr(self, name)
-            try:
-                if type(value) is bool:
-                    raise TypeError
-                object.__setattr__(self, name, index(value))
-            except TypeError:
-                raise ValueError(f"{name}: expected an integer") from None
+        for name in ("width", "height", "entrance", "exit"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
+        object.__setattr__(self, "seed", integer(self.seed, "seed", low=0))
         width = self.width
         if width < 1 or self.height < 1:
             raise ValueError("width and height must be positive")
         n = width * self.height
+        try:
+            edges = iter(self.edges)
+        except TypeError:
+            raise ValueError("edges: expected an iterable of pairs") from None
         links = set()
-        for k, pair in enumerate(self.edges):
+        for k, pair in enumerate(edges):
             try:
                 i, j = pair
-                if type(i) is bool or type(j) is bool:
-                    raise TypeError
-                i, j = index(i), index(j)
+                i, j = integer(i, "i"), integer(j, "j")
             except (TypeError, ValueError):
                 raise ValueError(f"edges[{k}]: expected a pair of integers") from None
             if not (0 <= i < n and 0 <= j < n):
@@ -139,10 +137,12 @@ def generate_perfect_maze(width: int, height: int, seed: int, exit: int | None =
 
     The entrance is the lower-left cell (node 0); the exit defaults to
     the upper-right cell (node N-1). Output is a pure function of
-    (width, height, seed, exit).
+    (width, height, seed, exit). Width and height must be integers of at
+    least 2, and the seed a non-negative integer, or ValueError names the
+    field.
     """
-    if width < 2 or height < 2:
-        raise ValueError(f"maze width and height must be at least 2, got {width}x{height}")
+    width, height = integer(width, "width", low=2), integer(height, "height", low=2)
+    seed = integer(seed, "seed", low=0)
     exit = width * height - 1 if exit is None else exit
     rng = np.random.default_rng(seed)
     edges = []
@@ -171,8 +171,10 @@ def toggle_link(maze: MazeGraph, i: int, j: int) -> MazeGraph:
     """Flip the link between grid-adjacent cells i and j.
 
     Returns a new maze; the input is untouched. Flipping a present link
-    builds a wall, flipping an absent one breaks a wall.
+    builds a wall, flipping an absent one breaks a wall. Each cell is an
+    integer as :func:`fields.integer` takes it.
     """
+    i, j = integer(i, "i"), integer(j, "j")
     if i == j:
         raise ValueError("cannot toggle a self-link")
     if not grid_adjacent(maze.width, maze.height, i, j):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import QSWParams, build_model, initial_state, propagate, whole_steps
+from .fields import integer, real
 from .maze import MazeGraph, grid_links, toggle_link
 from .states import DensityMatrix
 
@@ -42,6 +43,8 @@ class Action:
 
     @classmethod
     def toggle(cls, i: int, j: int) -> "Action":
+        """The toggle of the link between cells i and j, each an integer as :func:`fields.integer` takes it."""
+        i, j = integer(i, "i"), integer(j, "j")
         if i == j:
             raise ValueError("toggle requires two distinct cells")
         return cls((min(i, j), max(i, j)))
@@ -85,13 +88,15 @@ class MazeEnv:
     A step whose prefix is in the memo takes the stored state instead of
     integrating; results are bit-identical either way. reset() empties
     the memo once it holds more than ``MEMO_BUDGET_BYTES``.
+
+    ``max_actions`` is an integer of at least 1 and ``action_period`` a
+    positive real number, stored as a float, of whole steps dt; the
+    actions must fit in t_final. A bad one raises ValueError naming it.
     """
 
     def __init__(self, base_maze: MazeGraph, params: QSWParams, action_period: float, max_actions: int):
-        if isinstance(max_actions, bool) or not isinstance(max_actions, int):
-            raise ValueError(f"max_actions must be an int, got {type(max_actions).__name__} {max_actions!r}")
-        if max_actions < 1:
-            raise ValueError("max_actions must be >= 1")
+        max_actions = integer(max_actions, "max_actions", low=1)
+        action_period = real(action_period, "action_period")
         if action_period <= 0:
             raise ValueError("action_period must be positive")
         steps_per_interval = whole_steps(action_period, params.dt, "action_period")
@@ -280,8 +285,9 @@ class QLearningConfig:
     first half of training and stays constant afterwards. The horizon
     is finite, so an undiscounted return (discount = 1) is the default.
     ``learning_rate`` lies in (0, 1]; ``discount``, ``epsilon_start``
-    and ``epsilon_end`` lie in [0, 1]. Any other value, NaN or an
-    infinity included, raises ValueError naming the field.
+    and ``epsilon_end`` lie in [0, 1]. Each is a real number as
+    :func:`fields.real` takes it, stored as a float. Any other value, a
+    bool, NaN or an infinity included, raises ValueError naming the field.
     """
 
     learning_rate: float = 0.1
@@ -290,6 +296,8 @@ class QLearningConfig:
     epsilon_end: float = 0.05
 
     def __post_init__(self):
+        for name in ("learning_rate", "discount", "epsilon_start", "epsilon_end"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError(f"learning_rate must lie in (0, 1], got {self.learning_rate!r}")
         for name in ("discount", "epsilon_start", "epsilon_end"):
@@ -325,13 +333,12 @@ def train(
     Greedy ties resolve to the first maximum in action-space order, so
     an untrained table always selects the no-op and the corresponding
     curve reproduces the plain-walker baseline. An episode count that is
-    not an int, or whose record cannot be allocated, raises ValueError
-    naming it.
+    not an integer of at least 1 (as :func:`fields.integer` takes it), or
+    whose record cannot be allocated, and a seed that is not a
+    non-negative integer raise ValueError naming it.
     """
-    if isinstance(episodes, bool) or not isinstance(episodes, int):
-        raise ValueError(f"episodes must be an int, got {type(episodes).__name__} {episodes!r}")
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
+    episodes = integer(episodes, "episodes", low=1)
+    seed = integer(seed, "seed", low=0)
     try:
         rewards = np.empty(episodes)
     except (MemoryError, ValueError) as exc:

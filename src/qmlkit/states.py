@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import integer
+
 TRACE_ATOL = 1e-8
 HERMITIAN_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-8
@@ -92,7 +94,8 @@ class DensityMatrix:
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "DensityMatrix":
-        """|index><index| in a dim-dimensional space."""
+        """|index><index| in a dim-dimensional space; ``dim`` is an integer of at least 1 and ``index`` one below it."""
+        dim, index = integer(dim, "dim", low=1), integer(index, "index")
         if not 0 <= index < dim:
             raise ValueError(f"index {index} outside dimension {dim}")
         m = np.zeros((dim, dim), dtype=complex)

@@ -798,7 +798,7 @@ class TestKrylovSpan:
 
     def test_negative_n_steps_is_refused(self):
         model = build_model(generate_perfect_maze(3, 3, seed=1), QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0))
-        with pytest.raises(ValueError, match=r"^n_steps must be non-negative, got -3$"):
+        with pytest.raises(ValueError, match=r"^n_steps must be >= 0, got -3$"):
             propagate(initial_state(model), model, -3)
 
     def test_zero_steps_return_the_start_state(self):
@@ -828,12 +828,33 @@ class TestKrylovSpan:
         with pytest.raises(ValueError, match=r"^dt=1e\+308 is too large for this model: dt times its generator's norm bound \S+ is not finite$"):
             propagate(initial_state(model), model, 1)
 
+    @pytest.mark.parametrize("n_steps", [2**50, 10**30], ids=["memory", "size"])
+    def test_n_steps_that_cannot_be_allocated_is_refused(self, n_steps):
+        model = build_model(generate_perfect_maze(3, 3, seed=1), QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0))
+        message = rf"^n_steps={n_steps} is too many: their exit-node record needs {8 * n_steps} bytes$"
+        with mock.patch.object(dynamics, "_rhs", wraps=_rhs) as counted, pytest.raises(ValueError, match=message):
+            propagate(initial_state(model), model, n_steps)
+        assert counted.call_count == 0
+
+    @pytest.mark.parametrize("p", [0.8, 0.05], ids=["krylov", "stepped"])
+    @pytest.mark.parametrize("first_step, message", [(2.5, "first_step: expected an integer"), (-1, "first_step must be >= 0, got -1")])
+    def test_bad_first_step_is_refused(self, p, first_step, message):
+        model = build_model(generate_perfect_maze(3, 3, seed=1), QSWParams(p=p, gamma=1.0, dt=0.1, t_final=100.0))
+        with mock.patch.object(dynamics, "_rhs", wraps=_rhs) as counted, pytest.raises(ValueError, match=f"^{message}$"):
+            propagate(initial_state(model), model, 3, first_step=first_step)
+        assert counted.call_count == 0
+
+    def test_numpy_integer_n_steps_is_taken(self):
+        model = build_model(generate_perfect_maze(3, 3, seed=1), QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0))
+        start = initial_state(model)
+        np.testing.assert_array_equal(propagate(start, model, np.int64(7)).matrix, propagate(start, model, 7).matrix)
+
     @pytest.mark.parametrize("n_steps", [2.5, 100.0, True], ids=["fraction", "whole-float", "bool"])
     def test_n_steps_that_is_not_an_int_is_refused(self, n_steps):
         model = build_model(generate_perfect_maze(3, 3, seed=1), QSWParams(p=0.8, gamma=1.0, dt=0.1, t_final=100.0))
         with (
             mock.patch.object(dynamics, "_rhs", wraps=_rhs) as counted,
-            pytest.raises(TypeError, match=rf"^n_steps must be an int, got {type(n_steps).__name__} {n_steps!r}$"),
+            pytest.raises(ValueError, match=r"^n_steps: expected an integer$"),
         ):
             propagate(initial_state(model), model, n_steps)
         assert counted.call_count == 0
@@ -947,12 +968,18 @@ class TestEvolve:
         traj = evolve(initial_state(model), model, sample_every=20)
         assert np.all(np.diff(traj.p_sink_series) >= -1e-9)
 
+    def test_numpy_integer_sample_every_is_taken(self):
+        model = build_model(generate_perfect_maze(3, 3, seed=6), QSWParams(p=0.8, dt=0.1, t_final=8.0))
+        a, b = (evolve(initial_state(model), model, sample_every=every) for every in (np.uint8(20), 20))
+        np.testing.assert_array_equal(a.p_sink_series, b.p_sink_series)
+        np.testing.assert_array_equal(a.sample_steps, b.sample_steps)
+
     @pytest.mark.parametrize("every", [2.5, 10.0, True], ids=["fraction", "whole-float", "bool"])
     def test_sample_every_that_is_not_an_int_is_refused(self, every):
         model = build_model(generate_perfect_maze(3, 3, seed=6), QSWParams(p=0.8, dt=0.1, t_final=8.0))
         with (
             mock.patch.object(dynamics, "_rhs", wraps=_rhs) as counted,
-            pytest.raises(TypeError, match=rf"^sample_every must be an int, got {type(every).__name__} {every!r}$"),
+            pytest.raises(ValueError, match=r"^sample_every: expected an integer$"),
         ):
             evolve(initial_state(model), model, sample_every=every)
         assert counted.call_count == 0

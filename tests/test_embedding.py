@@ -108,7 +108,12 @@ class TestEmbed:
 
     @pytest.mark.parametrize("thetas", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4)], ids=["two", "four"])
     def test_wrong_number_of_angles_rejected(self, thetas):
-        with pytest.raises(ValueError, match=rf"^expected 3 angles, got {len(thetas)}$"):
+        with pytest.raises(ValueError, match=rf"^thetas: expected 3 angles, got {len(thetas)}$"):
+            EmbeddingModel(thetas)
+
+    @pytest.mark.parametrize("thetas", [None, 0.5], ids=["none", "float"])
+    def test_angles_that_are_not_iterable_rejected(self, thetas):
+        with pytest.raises(ValueError, match="^thetas: expected 3 angles$"):
             EmbeddingModel(thetas)
 
     @settings(max_examples=60, deadline=None)
@@ -262,8 +267,8 @@ class TestGram:
         "shots, seed, message",
         [
             (2**63, 0, r"shots must lie in \[1, 9223372036854775807\], got 9223372036854775808"),
-            (10, -1, "seed must be non-negative, got -1"),
-            (10, np.int64(-5), "seed must be non-negative, got -5"),
+            (10, -1, "seed must be >= 0, got -1"),
+            (10, np.int64(-5), "seed must be >= 0, got -5"),
         ],
         ids=["shots-above-int64", "negative-seed", "negative-numpy-seed"],
     )
@@ -276,7 +281,7 @@ class TestGram:
         [("shots", 10.7, 0), ("shots", True, 0), ("seed", 10, 1.5), ("seed", 10, False)],
     )
     def test_sampled_rejects_non_integer_shots_or_seed(self, name, shots, seed):
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        with pytest.raises(ValueError, match=f"^{name}: expected an integer$"):
             gram(synth_dataset(2, seed=0), ZERO_MODEL, mode="sampled", shots=shots, seed=seed)
 
     def test_sampled_accepts_numpy_integers(self):
@@ -489,9 +494,11 @@ class TestTrain:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"learning_rate": np.nan}, "learning_rate must be finite, got nan"),
-            ({"learning_rate": -np.inf}, "learning_rate must be finite, got -inf"),
+            ({"learning_rate": np.nan}, "learning_rate must be finite"),
+            ({"learning_rate": -np.inf}, "learning_rate must be finite"),
             ({"epochs": 0}, "epochs must be >= 1, got 0"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"seed": 2.5}, "seed: expected an integer"),
         ],
     )
     def test_config_rejects_bad_fields(self, kwargs, message):
@@ -500,7 +507,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("epochs", [2.5, True, "3"], ids=["float", "bool", "str"])
     def test_config_rejects_epochs_that_are_not_an_int(self, epochs):
-        with pytest.raises(ValueError, match=f"^epochs must be an int, got {type(epochs).__name__} "):
+        with pytest.raises(ValueError, match="^epochs: expected an integer$"):
             TrainConfig(epochs=epochs)
 
     def test_loss_decreases_on_benchmark(self):
@@ -538,6 +545,23 @@ class TestSynthDataset:
     def test_rejects_tiny_classes(self):
         with pytest.raises(ValueError):
             synth_dataset(1, seed=0)
+
+    @pytest.mark.parametrize(
+        "n_per_class, seed, message",
+        [
+            (2.0, 0, "n_per_class: expected an integer"),
+            (1, 0, "n_per_class must be >= 2, got 1"),
+            (2, -1, "seed must be >= 0, got -1"),
+            (2, 2.5, "seed: expected an integer"),
+        ],
+        ids=["float-count", "tiny-count", "negative-seed", "float-seed"],
+    )
+    def test_rejects_a_bad_count_or_seed_naming_it(self, n_per_class, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            synth_dataset(n_per_class, seed)
+
+    def test_numpy_integers_are_accepted(self):
+        np.testing.assert_array_equal(synth_dataset(np.int64(5), np.uint8(7)).points, synth_dataset(5, seed=7).points)
 
 
 class TestClassify:

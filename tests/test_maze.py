@@ -154,6 +154,16 @@ class TestToggleLink:
         with pytest.raises(ValueError):
             toggle_link(maze, 4, 4)
 
+    @pytest.mark.parametrize(
+        "i, j, message",
+        [(0, True, "j: expected an integer"), (1.0, 2, "i: expected an integer")],
+        ids=["bool", "float"],
+    )
+    def test_rejects_a_cell_that_is_not_an_integer(self, i, j, message):
+        maze = generate_perfect_maze(3, 3, seed=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            toggle_link(maze, i, j)
+
 
 @st.composite
 def grid_and_links(draw):
@@ -191,6 +201,11 @@ class TestMazeGraphValidation:
         with pytest.raises(ValueError, match="^width and height must be positive$"):
             MazeGraph(width, height, [], entrance=0, exit=0, seed=0)
 
+    @pytest.mark.parametrize("edges", [None, 5], ids=["none", "int"])
+    def test_rejects_edges_that_are_not_iterable(self, edges):
+        with pytest.raises(ValueError, match="^edges: expected an iterable of pairs$"):
+            MazeGraph(3, 3, edges, entrance=0, exit=8, seed=0)
+
     @pytest.mark.parametrize("field", ["width", "height", "entrance", "exit", "seed"])
     @pytest.mark.parametrize("value", [True, 2.0, "2", None, [2]], ids=["bool", "float", "str", "none", "list"])
     def test_rejects_a_field_that_is_not_an_integer(self, field, value):
@@ -209,15 +224,27 @@ class TestMazeGraphValidation:
             MazeGraph(3, 3, [(0, 1), pair], entrance=0, exit=8, seed=0)
 
     def test_numpy_integers_are_stored_as_int(self):
-        maze = MazeGraph(*map(np.int64, (3, 3)), [np.array([0, 1])], np.int64(0), np.uint8(8), np.int64(-5))
-        assert maze == MazeGraph(3, 3, [(0, 1)], entrance=0, exit=8, seed=-5)
+        maze = MazeGraph(*map(np.int64, (3, 3)), [np.array([0, 1])], np.int64(0), np.uint8(8), np.int64(5))
+        assert maze == MazeGraph(3, 3, [(0, 1)], entrance=0, exit=8, seed=5)
         assert all(type(v) is int for v in (maze.width, maze.height, maze.entrance, maze.exit, maze.seed, *maze.edges[0]))
         assert deserialize(serialize(maze)) == maze
 
+    @pytest.mark.parametrize("seed", [-5, np.int64(-5)], ids=["int", "numpy"])
+    def test_rejects_a_seed_that_cannot_regenerate_a_maze(self, seed):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -5$"):
+            MazeGraph(3, 3, [(0, 1)], entrance=0, exit=8, seed=seed)
+
     @pytest.mark.parametrize(
         "kwargs, message",
-        [({"exit": 2.7}, "exit: expected an integer"), ({"seed": True}, "seed: expected an integer")],
-        ids=["float-exit", "bool-seed"],
+        [
+            ({"exit": 2.7}, "exit: expected an integer"),
+            ({"seed": True}, "seed: expected an integer"),
+            ({"seed": 2.5}, "seed: expected an integer"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"width": 1}, "width must be >= 2, got 1"),
+            ({"height": np.int64(3), "width": 2.0}, "width: expected an integer"),
+        ],
+        ids=["float-exit", "bool-seed", "float-seed", "negative-seed", "narrow", "float-width"],
     )
     def test_generation_passes_no_rounded_field(self, kwargs, message):
         fields = dict(width=3, height=3, seed=1) | kwargs

@@ -2,7 +2,8 @@
 
 No qmlkit module imports or reads a ``_``-prefixed name of another
 (dunders such as ``__version__`` are public), only ``cli.py`` opens
-files, and every name that ``qmlkit.__all__`` lists resolves.
+files, only ``fields.py`` decides what a number field accepts, and every
+name that ``qmlkit.__all__`` lists resolves.
 """
 
 import ast
@@ -111,6 +112,69 @@ def test_only_the_cli_opens_files():
 )
 def test_guard_catches_opens(source, expected):
     assert opens(source) == expected
+
+
+def _is_bool(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "bool"
+
+
+def number_checks(source: str, filename: str = "<module>") -> list[str]:
+    """``line: text`` of each hand-written test of what a number field accepts.
+
+    Caught: ``isinstance(x, bool)``, bool alone or in a tuple, ``type(x)``
+    compared with ``bool``, an import of ``numbers`` or of
+    ``operator.index``, and a read of ``operator.index``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            caught = any(map(_is_bool, kinds))
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            is_type = any(isinstance(side, ast.Call) and isinstance(side.func, ast.Name) and side.func.id == "type" for side in sides)
+            caught = is_type and any(map(_is_bool, sides))
+        elif isinstance(node, ast.Import):
+            caught = any(alias.name.split(".")[0] == "numbers" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            caught = node.level == 0 and (
+                node.module == "numbers" or (node.module == "operator" and any(alias.name == "index" for alias in node.names))
+            )
+        elif isinstance(node, ast.Attribute):
+            caught = isinstance(node.value, ast.Name) and node.value.id == "operator" and node.attr == "index"
+        else:
+            caught = False
+        if caught:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_only_fields_checks_numbers():
+    found = {path.name: number_checks(path.read_text(encoding="utf-8"), str(path)) for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines and name != "fields.py"} == {}
+    assert found["fields.py"]
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("isinstance(n, bool)\n", ["1: isinstance(n, bool)"]),
+        ("if isinstance(n, (int, bool)):\n    pass\n", ["1: isinstance(n, (int, bool))"]),
+        ("ok = type(n) is bool\n", ["1: type(n) is bool"]),
+        ("ok = bool != type(n)\n", ["1: bool != type(n)"]),
+        ("import numbers\n", ["1: import numbers"]),
+        ("from numbers import Real\n", ["1: from numbers import Real"]),
+        ("from operator import itemgetter, index\n", ["1: from operator import itemgetter, index"]),
+        ("import operator\noperator.index(n)\n", ["2: operator.index"]),
+        (
+            "from operator import itemgetter\nfrom .fields import integer\nisinstance(n, int)\ntype(n) is int\nbool(n)\n",
+            [],
+        ),
+    ],
+    ids=["isinstance", "isinstance-tuple", "type-is", "type-reversed", "import-numbers", "from-numbers", "from-operator", "operator-attribute", "no-check"],
+)
+def test_guard_catches_number_checks(source, expected):
+    assert number_checks(source) == expected
 
 
 def test_every_public_name_resolves():

@@ -1,20 +1,25 @@
-"""The records check their own fields, whatever they are given.
+"""The records and entry points check their own fields, whatever they are given.
 
-``MazeGraph`` and ``EmbeddingModel`` are built directly from arbitrary
-field values: the JSON values the format fuzz draws (None, bools,
+Records and public functions are called with one field drawn from
+arbitrary values: the JSON values the format fuzz draws (None, bools,
 numbers, strings, arrays and objects) and NumPy integers. Each call must
-either build the record or raise a ValueError whose message starts with
-a field's name; a TypeError, or any other exception, fails the test.
+either succeed or raise a ValueError whose message starts with a field's
+name; a TypeError, an IndexError or any other exception fails the test.
 """
 
+import json
 import re
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmlkit.embedding import EmbeddingModel
-from qmlkit.maze import MazeGraph, deserialize, serialize
+from qmlkit.dynamics import QSWParams, build_model, evolve, initial_state, propagate
+from qmlkit.embedding import EmbeddingModel, TrainConfig, dataset_from_json, gram, synth_dataset
+from qmlkit.maze import MazeGraph, deserialize, generate_perfect_maze, serialize, toggle_link
+from qmlkit.rlmaze import Action, MazeEnv, QLearningConfig, train
+from qmlkit.states import DensityMatrix
 
 from test_maze_policy_json import MAZE_KEYS, any_values, mazes
 
@@ -97,3 +102,73 @@ class TestEmbeddingModelFields:
         if built is not None:
             assert all(type(t) is float and np.isfinite(t) for t in built.thetas)
             assert built.thetas == tuple(float(t) for t in thetas)
+
+
+# A valid call's other fields are small, so that no drawn value leads to long work.
+MAZE = generate_perfect_maze(2, 2, seed=0)
+WALK = {"p": 0.5, "gamma": 1.0, "dt": 0.5, "t_final": 1.0}
+MODEL = build_model(MAZE, QSWParams(**WALK))
+ENV = {"action_period": 0.5, "max_actions": 2}
+
+
+def env(**fields) -> MazeEnv:
+    return MazeEnv(MAZE, QSWParams(**WALK), **(ENV | fields))
+
+
+def two_points(x) -> str:
+    return json.dumps([{"x": x, "label": "A"}, {"x": 0.0, "label": "B"}], default=int)
+
+
+# name: (call, the keyword arguments of a valid call)
+ENTRY_POINTS = {
+    "MazeGraph": (lambda edges: MazeGraph(2, 2, edges, 0, 3, 0), {"edges": [(0, 1)]}),  # the rest: TestMazeGraphFields
+    "generate_perfect_maze": (generate_perfect_maze, {"width": 2, "height": 2, "seed": 0}),
+    "QSWParams": (QSWParams, WALK),
+    "propagate": (
+        lambda n_steps, first_step: propagate(initial_state(MODEL), MODEL, n_steps, first_step),
+        {"n_steps": 1, "first_step": 0},
+    ),
+    "evolve": (lambda sample_every: evolve(initial_state(MODEL), MODEL, sample_every), {"sample_every": 1}),
+    "MazeEnv": (env, ENV),
+    "QLearningConfig": (QLearningConfig, {"learning_rate": 0.1, "discount": 1.0, "epsilon_start": 1.0, "epsilon_end": 0.05}),
+    "train": (lambda episodes, seed: train(env(), QLearningConfig(), episodes, seed), {"episodes": 2, "seed": 0}),
+    "TrainConfig": (TrainConfig, {"learning_rate": 0.1, "epochs": 1, "seed": 0}),
+    "synth_dataset": (synth_dataset, {"n_per_class": 2, "seed": 0}),
+    "gram": (
+        lambda shots, seed: gram(synth_dataset(2, 0), EmbeddingModel((0.0, 0.0, 0.0)), "sampled", shots, seed),
+        {"shots": 10, "seed": 0},
+    ),
+    "EmbeddingModel": (EmbeddingModel, {"thetas": (0.0, 0.0, 0.0)}),
+    "dataset_from_json": (lambda x: dataset_from_json(two_points(x)), {"x": 0.0}),
+    "toggle_link": (lambda i, j: toggle_link(MAZE, i, j), {"i": 0, "j": 1}),
+    "Action.toggle": (Action.toggle, {"i": 0, "j": 1}),
+    "DensityMatrix.basis_state": (DensityMatrix.basis_state, {"dim": 2, "index": 0}),
+}
+# Fields whose value sets the work done; a larger integer is valid but slow.
+SIZES = {"width", "height", "n_steps", "episodes", "n_per_class", "dim"}
+# How a message names a field, where not by the bare name: a check on two
+# fields names both, and its message may start with the other one or neither.
+TWO_CELLS = r"(toggle requires two distinct cells|cannot toggle a self-link|cells \S+ and \S+ are not grid-adjacent)$"
+NAMED_BY = {
+    "x": r"entry 0: x\b",
+    "dt": r"(dt|t_final)\b",
+    "t_final": r"(t_final\b|dt must satisfy 0 < dt <= t_final$)",
+    "action_period": r"(action_period\b|max_actions \* action_period must not exceed t_final$)",
+    "i": rf"(i\b|{TWO_CELLS})",
+    "j": rf"(j\b|{TWO_CELLS})",
+}
+
+
+class TestEntryPointFields:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_one_arbitrary_field(self, entry, data):
+        call, kwargs = ENTRY_POINTS[entry]
+        field = data.draw(st.sampled_from(sorted(kwargs)), label="field")
+        value = data.draw(values, label="value")
+        assume(not (field in SIZES and is_integer(value) and value > 40))
+        try:
+            call(**(kwargs | {field: value}))
+        except ValueError as exc:
+            assert re.match(NAMED_BY.get(field, re.escape(field) + r"\b"), str(exc)), str(exc)

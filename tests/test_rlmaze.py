@@ -40,6 +40,19 @@ class TestAction:
         with pytest.raises(ValueError):
             Action.toggle(3, 3)
 
+    @pytest.mark.parametrize(
+        "i, j, message",
+        [(True, 2, "i: expected an integer"), (0, 1.0, "j: expected an integer"), ("0", 1, "i: expected an integer")],
+        ids=["bool", "float", "str"],
+    )
+    def test_cells_that_are_not_integers_rejected(self, i, j, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Action.toggle(i, j)
+
+    def test_numpy_cells_are_stored_as_int(self):
+        link = Action.toggle(np.int64(5), np.uint8(2)).link
+        assert link == (2, 5) and all(type(cell) is int for cell in link)
+
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
             Action.from_label("jump:1-2")
@@ -72,7 +85,7 @@ class TestEnvSetup:
     def test_max_actions_must_be_an_int(self, max_actions):
         # refused before any episode: a fractional count would never end one
         maze = generate_perfect_maze(3, 3, seed=0)
-        with pytest.raises(ValueError, match=f"^max_actions must be an int, got {type(max_actions).__name__} "):
+        with pytest.raises(ValueError, match="^max_actions: expected an integer$"):
             MazeEnv(maze, PARAMS, action_period=1.0, max_actions=max_actions)
 
 
@@ -337,9 +350,14 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(env, QLearningConfig(), episodes=0, seed=0)
 
+    @pytest.mark.parametrize("seed, message", [(2.5, "seed: expected an integer"), (-1, "seed must be >= 0, got -1")])
+    def test_rejects_a_seed_numpy_cannot_take(self, env, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train(env, QLearningConfig(), episodes=1, seed=seed)
+
     @pytest.mark.parametrize("episodes", [2.5, True], ids=["fraction", "bool"])
     def test_rejects_episodes_that_are_not_an_int(self, env, episodes):
-        with pytest.raises(ValueError, match=f"^episodes must be an int, got {type(episodes).__name__} "):
+        with pytest.raises(ValueError, match="^episodes: expected an integer$"):
             train(env, QLearningConfig(), episodes=episodes, seed=0)
 
 
@@ -362,7 +380,10 @@ class TestQLearningConfig:
     def test_rejects_values_outside_the_field_range(self, field, value, interval):
         with pytest.raises(ValueError) as exc:
             QLearningConfig(**{field: value})
-        assert str(exc.value) == f"{field} must lie in {interval}, got {value!r}"
+        if np.isfinite(value):
+            assert str(exc.value) == f"{field} must lie in {interval}, got {value!r}"
+        else:
+            assert str(exc.value) == f"{field} must be finite"
 
     def test_accepts_the_range_ends(self):
         QLearningConfig(learning_rate=1.0, discount=0.0, epsilon_start=0.0, epsilon_end=1.0)

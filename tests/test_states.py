@@ -116,6 +116,24 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix.basis_state(3, 3)
 
+    @pytest.mark.parametrize(
+        "dim, index, message",
+        [
+            (3, 1.5, "index: expected an integer"),
+            (3, True, "index: expected an integer"),
+            (3.0, 1, "dim: expected an integer"),
+            (0, 0, "dim must be >= 1, got 0"),
+            (3, -1, "index -1 outside dimension 3"),
+        ],
+        ids=["float-index", "bool-index", "float-dim", "empty", "negative-index"],
+    )
+    def test_basis_state_names_a_bad_argument(self, dim, index, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DensityMatrix.basis_state(dim, index)
+
+    def test_basis_state_takes_numpy_integers(self):
+        np.testing.assert_array_equal(DensityMatrix.basis_state(np.int64(3), np.uint8(1)).matrix, DensityMatrix.basis_state(3, 1).matrix)
+
     def test_matrix_read_only(self):
         rho = DensityMatrix.basis_state(2, 0)
         with pytest.raises(ValueError):
